@@ -39,19 +39,16 @@ Fraction measure(ocl::Context& ctx, const acoustics::Room& room, bool fd,
 
 // The same split measured on the reference ("hand-written C") tier from the
 // stepper's own StepProfiler instrumentation instead of per-kernel enqueue
-// timers: every step records volume/boundary wall time inside
-// Simulation<T>::step.
+// timers: every step records its volume/boundary task CPU time inside
+// Simulation<T>.
 Fraction measureReference(const acoustics::Room& room, bool fd,
-                          const BenchOptions& opt,
-                          acoustics::BoundaryPath bpath =
-                              acoustics::BoundaryPath::Classes) {
+                          const BenchOptions& opt) {
   acoustics::Simulation<double>::Config cfg;
   cfg.room = room;
   cfg.model =
       fd ? acoustics::BoundaryModel::FdMm : acoustics::BoundaryModel::FiMm;
   cfg.numMaterials = 3;
   cfg.numBranches = fd ? opt.branches : 0;
-  cfg.params.boundaryPath = bpath;
   acoustics::Simulation<double> sim(cfg);
   sim.addImpulse(room.nx / 2, room.ny / 2, room.nz / 2, 1.0);
   for (int i = 0; i < opt.warmup; ++i) sim.step();
@@ -95,24 +92,18 @@ int main(int argc, char** argv) {
               fiPct / n, fdPct / n);
 
   // Reference tier, measured from StepProfiler instrumentation inside the
-  // stepper rather than ad-hoc enqueue timers. Both boundary paths: the
-  // flat fused scatter (the paper's Fig. 2 shape) and the topology-class
-  // fission path that shrinks the boundary share.
-  Table refTable({"Shape", "Algorithm", "Size", "Boundary path", "Volume ms",
-                  "Boundary ms", "% Boundary"});
+  // stepper rather than ad-hoc enqueue timers. The stepper runs the
+  // interior-run volume and topology-class boundary kernels; the paper's
+  // flat-kernel shape is the table above.
+  Table refTable({"Shape", "Algorithm", "Size", "Volume ms", "Boundary ms",
+                  "% Boundary"});
   for (auto shape : {acoustics::RoomShape::Box, acoustics::RoomShape::Dome}) {
     for (const auto& sized : benchRooms(shape, opt.full)) {
       for (const bool fd : {false, true}) {
-        for (const auto bpath : {acoustics::BoundaryPath::Flat,
-                                 acoustics::BoundaryPath::Classes}) {
-          const auto f = measureReference(sized.room, fd, opt, bpath);
-          refTable.addRow(
-              {acoustics::shapeName(shape), fd ? "FD-MM" : "FI-MM",
-               sized.label,
-               bpath == acoustics::BoundaryPath::Flat ? "flat" : "classes",
-               fmtMs(f.volumeMs), fmtMs(f.boundaryMs),
-               strformat("%.1f%%", f.pct())});
-        }
+        const auto f = measureReference(sized.room, fd, opt);
+        refTable.addRow({acoustics::shapeName(shape), fd ? "FD-MM" : "FI-MM",
+                         sized.label, fmtMs(f.volumeMs), fmtMs(f.boundaryMs),
+                         strformat("%.1f%%", f.pct())});
       }
     }
   }

@@ -4,8 +4,8 @@
 // stepper, measured in completed RIRs per wall second (runRirBatch's
 // figure of merit). The ISM tier's whole point is dataset-scale cost: the
 // enforced gate is >= 100x the FDTD tier's RIRs/s on these rooms. Results
-// are mirrored machine-readably to BENCH_ism.json with the same explicit
-// "gates" list CI's perf-smoke job iterates for BENCH_refstep.json.
+// are mirrored machine-readably to BENCH_ism.json with the harness's
+// explicit "gates" list, which tools/check_gates.py enforces in CI.
 #include <cstdio>
 
 #include <filesystem>
@@ -26,15 +26,6 @@ using namespace lifta::harness;
 using namespace lifta::service;
 
 namespace {
-
-struct Gate {
-  std::string name;
-  double value = 0.0;
-  double target = 0.0;
-  bool met = false;
-  bool skipped = false;
-  std::string reason;
-};
 
 BatchSpec baseSpec(const BenchOptions& opt, const std::string& outDir) {
   BatchSpec spec;
@@ -121,26 +112,10 @@ int main(int argc, char** argv) {
                            ? ism.batch.rirsPerSecond /
                                  fdtd.batch.rirsPerSecond
                            : 0.0;
-  std::vector<Gate> gates;
-  const std::string fdtdSkip =
-      fdtd.batch.rirsPerSecond > 0.0 ? "" : "FDTD tier wrote no RIRs";
-  gates.push_back({"ism_vs_fdtd_rir_throughput", ratio, 100.0, ratio >= 100.0,
-                   !fdtdSkip.empty(), fdtdSkip});
-
-  std::printf("perf gates:\n");
-  bool anyFailed = false;
-  for (const auto& g : gates) {
-    if (g.skipped) {
-      std::printf("  [skip] %-32s %.1f (target %.1f) — %s\n", g.name.c_str(),
-                  g.value, g.target, g.reason.c_str());
-    } else {
-      std::printf("  [%s] %-32s %.1f (target %.1f)\n",
-                  g.met ? "pass" : "FAIL", g.name.c_str(), g.value, g.target);
-      anyFailed = anyFailed || !g.met;
-    }
-  }
-  std::printf("%s\n", anyFailed ? "one or more enforced gates FAILED"
-                                : "all enforced gates pass");
+  const std::vector<Gate> gates = {
+      makeGate("ism_vs_fdtd_rir_throughput", ratio, 100.0,
+               fdtd.batch.rirsPerSecond > 0.0 ? "" : "FDTD tier wrote no RIRs")};
+  printGates(gates);
 
   JsonWriter json;
   json.beginObject()
@@ -162,18 +137,7 @@ int main(int argc, char** argv) {
   }
   json.endArray();
   json.field("ism_vs_fdtd_ratio", ratio, 2);
-  json.key("gates").beginArray();
-  for (const auto& g : gates) {
-    json.beginObject()
-        .field("name", g.name)
-        .field("value", g.value, 4)
-        .field("target", g.target, 2)
-        .field("met", g.met)
-        .field("skipped", g.skipped)
-        .field("reason", g.reason)
-        .endObject();
-  }
-  json.endArray();
+  writeGates(json, gates);
   json.endObject();
   const std::string jsonPath = "BENCH_ism.json";
   try {

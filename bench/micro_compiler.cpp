@@ -5,20 +5,19 @@
 // time and tier-0 first-step latency, DESIGN.md §12). These quantify the
 // "compile-time" costs of the paper's approach (paid once per kernel, not
 // per launch) and the run-time payoff of the optimizer. Results are
-// written to BENCH_codegen.json and BENCH_specialize.json (the latter
-// carries the explicit "gates" list CI's perf-smoke job enforces).
+// written to BENCH_codegen.json and BENCH_specialize.json, each with the
+// harness's explicit "gates" list that tools/check_gates.py enforces in CI.
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <ctime>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "arith/expr.hpp"
 #include "codegen/kernel_codegen.hpp"
 #include "common/json_writer.hpp"
 #include "common/stats.hpp"
-#include "common/string_util.hpp"
 #include "harness/acoustic_bench.hpp"
 #include "harness/bench_common.hpp"
 #include "lift_acoustics/device_simulation.hpp"
@@ -72,17 +71,6 @@ struct KernelRow {
   std::size_t updates = 0;
   double optMs = 0.0;
   double nooptMs = 0.0;
-};
-
-/// An explicit perf gate: CI fails on `met == false` unless `skipped`
-/// explains why the measurement is not meaningful on this machine.
-struct Gate {
-  std::string name;
-  double value = 0.0;
-  double target = 0.0;
-  bool met = false;
-  bool skipped = false;
-  std::string reason;
 };
 
 struct SpecRow {
@@ -217,6 +205,24 @@ int main(int argc, char** argv) {
                 r.optMs > 0 ? r.nooptMs / r.optMs : 0.0);
   }
 
+  // Quick-mode guards, never skipped: every model's optimized kernel within
+  // 5% of the unoptimized one, and the warm JIT cache at least 10x faster
+  // than a cold build.
+  std::vector<Gate> codegenGates;
+  for (const auto& r : rows) {
+    std::string key = r.model;  // "FI-MM" -> "fi_mm"
+    for (char& c : key) {
+      c = c == '-' ? '_'
+                   : static_cast<char>(
+                         std::tolower(static_cast<unsigned char>(c)));
+    }
+    codegenGates.push_back(makeGate("opt_speedup_" + key,
+                                    r.optMs > 0 ? r.nooptMs / r.optMs : 0.0,
+                                    0.95));
+  }
+  codegenGates.push_back(makeGate("jit_warm_speedup", warmSpeedup, 10.0));
+  printGates(codegenGates);
+
   // --- BENCH_codegen.json -------------------------------------------------
   JsonWriter w;
   w.beginObject();
@@ -248,6 +254,7 @@ int main(int argc, char** argv) {
     w.endObject();
   }
   w.endArray();
+  writeGates(w, codegenGates);
   w.endObject();
   w.writeFile("BENCH_codegen.json");
   std::printf("\nwrote BENCH_codegen.json\n");
@@ -331,26 +338,11 @@ int main(int argc, char** argv) {
   // --- BENCH_specialize.json ----------------------------------------------
   // Timing-ratio gates are too noisy to enforce on small loaded runners
   // (same skip policy as BENCH_refstep.json).
-  const unsigned hw = std::thread::hardware_concurrency();
-  const std::string scaleSkip =
-      hw >= 4 ? ""
-              : strformat("hardware_concurrency=%u < 4 at measurement time",
-                          hw);
-  std::vector<Gate> gates;
-  gates.push_back({"specialized_step_speedup_best", bestSpeedup, 1.15,
-                   bestSpeedup >= 1.15, !scaleSkip.empty(), scaleSkip});
-  gates.push_back({"tiered_first_step_speedup", firstStepSpeedup, 5.0,
-                   firstStepSpeedup >= 5.0, !scaleSkip.empty(), scaleSkip});
-  std::printf("perf gates:\n");
-  for (const auto& g : gates) {
-    if (g.skipped) {
-      std::printf("  [skip] %-30s %.2f (target %.2f) — %s\n", g.name.c_str(),
-                  g.value, g.target, g.reason.c_str());
-    } else {
-      std::printf("  [%s] %-30s %.2f (target %.2f)\n",
-                  g.met ? "pass" : "FAIL", g.name.c_str(), g.value, g.target);
-    }
-  }
+  const std::string scaleSkip = fewCoresSkipReason();
+  const std::vector<Gate> gates = {
+      makeGate("specialized_step_speedup_best", bestSpeedup, 1.15, scaleSkip),
+      makeGate("tiered_first_step_speedup", firstStepSpeedup, 5.0, scaleSkip)};
+  printGates(gates);
 
   JsonWriter sw;
   sw.beginObject();
@@ -378,18 +370,7 @@ int main(int argc, char** argv) {
   sw.field("tier0_tiered_ms", tier0FirstStepMs, 2);
   sw.field("speedup", firstStepSpeedup, 2);
   sw.endObject();
-  sw.key("gates").beginArray();
-  for (const auto& g : gates) {
-    sw.beginObject()
-        .field("name", g.name)
-        .field("value", g.value, 4)
-        .field("target", g.target, 2)
-        .field("met", g.met)
-        .field("skipped", g.skipped)
-        .field("reason", g.reason)
-        .endObject();
-  }
-  sw.endArray();
+  writeGates(sw, gates);
   sw.endObject();
   sw.writeFile("BENCH_specialize.json");
   std::printf("wrote BENCH_specialize.json\n");

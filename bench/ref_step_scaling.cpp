@@ -1,21 +1,29 @@
-// Thread-scaling of the reference ("hand-written C") stepper: the serial
-// path (threads=1) vs the z-slab-tiled parallel path at increasing thread
-// counts, measured from the stepper's own StepProfiler instrumentation —
-// plus the interior-run volume path vs the per-cell nbrs-lookup path at one
-// thread. All paths produce bit-identical fields (disjoint write
-// partitions, unchanged per-cell arithmetic), so this isolates the
-// scheduling and instruction-stream cost/benefit. Results are also written
-// machine-readably to BENCH_refstep.json in the working directory.
+// Thread-scaling of the reference ("hand-written C") stepper: the task-graph
+// stepper at threads=1 (a worker-less pool running the graph serially) vs
+// increasing thread counts, measured from the stepper's own StepProfiler
+// instrumentation — plus, at one thread, the stepper's kernels against the
+// listings' whole-grid kernels they replace: interior-run volume vs the
+// per-cell nbrs-lookup scan, and topology-class boundary launches vs the
+// flat fused scatter. Both sides of each kernel comparison are timed with
+// the same thread-CPU timer over the same grid. Every configuration is
+// bit-identical to the listing kernels (disjoint write partitions,
+// unchanged per-cell arithmetic), so this isolates the scheduling and
+// instruction-stream cost/benefit. Results and the explicit perf gates are
+// also written machine-readably to BENCH_refstep.json in the working
+// directory.
 #include <cstdio>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "acoustics/materials.hpp"
 #include "acoustics/simulation.hpp"
 #include "common/error.hpp"
 #include "common/json_writer.hpp"
+#include "common/stats.hpp"
 #include "common/string_util.hpp"
 #include "harness/bench_common.hpp"
 #include "harness/table.hpp"
@@ -25,61 +33,38 @@ using namespace lifta::harness;
 
 namespace {
 
-struct PathTiming {
-  double volumeMs = 0.0;    // median volume-phase ms (interior + residual)
-  double boundaryMs = 0.0;  // median boundary-phase ms
-  double stepMs = 0.0;      // median whole-step ms
+/// Median per-phase thread-CPU ms of a serial step.
+struct PhaseTiming {
+  double volumeMs = 0.0;
+  double boundaryMs = 0.0;
+  double stepMs() const { return volumeMs + boundaryMs; }
+  double boundaryShare() const {
+    return stepMs() > 0.0 ? boundaryMs / stepMs() : 0.0;
+  }
 };
 
-PathTiming measure(const acoustics::Room& room, acoustics::BoundaryModel m,
-                   int threads, acoustics::VolumePath path,
-                   acoustics::StepperKind stepper, const BenchOptions& opt,
-                   acoustics::BoundaryPath bpath =
-                       acoustics::BoundaryPath::Classes) {
+/// Median whole-step wall ms of the stepper at `threads`, from its
+/// StepProfiler.
+double medianStepMs(const acoustics::Room& room, acoustics::BoundaryModel m,
+                    int threads, const BenchOptions& opt) {
   acoustics::Simulation<double>::Config cfg;
   cfg.room = room;
   cfg.model = m;
   cfg.numMaterials = 3;
   cfg.numBranches = m == acoustics::BoundaryModel::FdMm ? opt.branches : 0;
   cfg.params.threads = threads;
-  cfg.params.volumePath = path;
-  cfg.params.boundaryPath = bpath;
-  cfg.params.stepper = stepper;
   acoustics::Simulation<double> sim(cfg);
   sim.addImpulse(room.nx / 2, room.ny / 2, room.nz / 2, 1.0);
   // Batch stepping (not a step() loop): the task-graph stepper only
-  // pipelines across steps inside a run() batch.
+  // pipelines across steps inside a run() batch. The profiler spreads each
+  // batch's wall time evenly over its steps, so opt.iters samples take
+  // opt.iters batches' worth of steps; a median over a handful of steps
+  // would be the average of one or two batches.
+  constexpr int kStepsPerIter = 16;
   sim.run(opt.warmup);
   sim.enableProfiling();
-  sim.run(opt.iters);
-  return {sim.profile().volumeStats().median,
-          sim.profile().boundaryStats().median,
-          sim.profile().stepStats().median};
-}
-
-/// An explicit perf gate: CI fails on `met == false` unless `skipped`
-/// explains why the measurement is not meaningful on this machine (e.g.
-/// thread-scaling targets on a < 4-core runner). Every gate is listed in
-/// BENCH_refstep.json, so a missed target can never pass silently again.
-struct Gate {
-  std::string name;
-  double value = 0.0;
-  double target = 0.0;
-  bool met = false;
-  bool skipped = false;
-  std::string reason;
-};
-
-
-double medianStepMs(const acoustics::Room& room, acoustics::BoundaryModel m,
-                    int threads, acoustics::StepperKind stepper,
-                    const BenchOptions& opt) {
-  return measure(room, m, threads, acoustics::VolumePath::Runs, stepper, opt)
-      .stepMs;
-}
-
-const char* stepperName(acoustics::StepperKind s) {
-  return s == acoustics::StepperKind::TaskGraph ? "task-graph" : "barrier";
+  sim.run(opt.iters * kStepsPerIter);
+  return sim.profile().stepStats().median;
 }
 
 const char* jsonModelKey(acoustics::BoundaryModel m) {
@@ -92,14 +77,169 @@ const char* jsonModelKey(acoustics::BoundaryModel m) {
   return "?";
 }
 
+/// A serial step loop over the whole grid of a box room — volume kernel,
+/// boundary kernel, buffer rotation, from a centre impulse as the stepper
+/// starts — timing each phase with one timer, the thread-CPU clock the
+/// stepper's profiler uses (so preemption by other processes does not
+/// count). Each phase runs either the stepper's kernels (interior runs,
+/// launch-plan class kernels) or the listings' kernel for that phase (the
+/// per-cell nbrs-lookup volume scan, the flat boundary scatter) — what the
+/// stepper's former Lookup and Flat paths ran at one thread, each with the
+/// other phase left on the stepper's kernels, so a phase is timed in the
+/// cache state the real step leaves it (the interior-run volume pass never
+/// touches the nbrs array the flat scatter gathers from).
+class SerialLoop {
+public:
+  SerialLoop(const acoustics::Room& room, acoustics::BoundaryModel model,
+             bool lookupVolume, bool flatBoundary, int branches)
+      : grid_(acoustics::voxelizeCached(room, 3)),
+        model_(model),
+        lookupVolume_(lookupVolume),
+        flatBoundary_(flatBoundary),
+        branches_(model == acoustics::BoundaryModel::FdMm ? branches : 0) {
+    const std::size_t cells = grid_->cells();
+    prev_.assign(cells, 0.0);
+    curr_.assign(cells, 0.0);
+    next_.assign(cells, 0.0);
+    curr_[room.index(room.nx / 2, room.ny / 2, room.nz / 2)] = 1.0;
+    const std::size_t stateLen =
+        static_cast<std::size_t>(branches_) * grid_->boundaryPoints();
+    g1_.assign(stateLen, 0.0);
+    v1_.assign(stateLen, 0.0);
+    v2_.assign(stateLen, 0.0);
+    const auto mats = acoustics::defaultMaterials(3, branches_);
+    beta_ = acoustics::betaTable(mats);
+    fd_ = acoustics::deriveFdCoeffs(mats, branches_,
+                                    acoustics::SimParams{}.Ts());
+    launches_ = acoustics::planBoundaryLaunches(
+        grid_->boundaryClasses, acoustics::kBoundaryFissionMinPoints);
+  }
+
+  /// Median per-phase ms over opt.iters steps after opt.warmup.
+  PhaseTiming time(const BenchOptions& opt) {
+    std::vector<double> volume, boundary;
+    for (int it = 0; it < opt.warmup + opt.iters; ++it) {
+      const std::uint64_t t0 = threadCpuTimeNs();
+      lookupVolume_ ? lookupVolume() : runsVolume();
+      const std::uint64_t t1 = threadCpuTimeNs();
+      if (model_ != acoustics::BoundaryModel::FusedFi) {
+        flatBoundary_ ? flatBoundary() : classBoundary();
+      }
+      const std::uint64_t t2 = threadCpuTimeNs();
+      const double volumeMs = static_cast<double>(t1 - t0) / 1e6;
+      const double boundaryMs = static_cast<double>(t2 - t1) / 1e6;
+      std::swap(prev_, curr_);
+      std::swap(curr_, next_);
+      std::swap(v1_, v2_);
+      if (it >= opt.warmup) {
+        volume.push_back(volumeMs);
+        boundary.push_back(boundaryMs);
+      }
+    }
+    return {median(std::move(volume)), median(std::move(boundary))};
+  }
+
+private:
+  std::int64_t numB() const {
+    return static_cast<std::int64_t>(grid_->boundaryPoints());
+  }
+  bool fused() const { return model_ == acoustics::BoundaryModel::FusedFi; }
+  bool fdmm() const { return model_ == acoustics::BoundaryModel::FdMm; }
+
+  void lookupVolume() {
+    const auto& g = *grid_;
+    if (fused()) {
+      acoustics::refFusedFiLookup(g.nbrs.data(), prev_.data(), curr_.data(),
+                                  next_.data(), g.nx, g.ny, g.nz, kL, kL2,
+                                  beta_[0]);
+    } else {
+      acoustics::refVolume(g.nbrs.data(), prev_.data(), curr_.data(),
+                           next_.data(), g.nx, g.ny, g.nz, kL2);
+    }
+  }
+  void runsVolume() {
+    const auto& g = *grid_;
+    const auto& plan = g.interiorRuns;
+    if (fused()) {
+      acoustics::refFusedFiRuns(plan.runBegin.data(), plan.runLen.data(),
+                                plan.runs(), g.boundaryIndices.data(),
+                                g.boundaryNbr.data(), numB(), prev_.data(),
+                                curr_.data(), next_.data(), g.nx, g.ny, kL,
+                                kL2, beta_[0]);
+    } else {
+      acoustics::refVolumeRuns(plan.runBegin.data(), plan.runLen.data(),
+                               plan.runs(), g.boundaryIndices.data(),
+                               g.boundaryNbr.data(), numB(), prev_.data(),
+                               curr_.data(), next_.data(), g.nx, g.ny, kL2);
+    }
+  }
+  void flatBoundary() {
+    const auto& g = *grid_;
+    if (fdmm()) {
+      acoustics::refFdMmBoundary(
+          g.boundaryIndices.data(), g.nbrs.data(), g.material.data(),
+          beta_.data(), fd_.BI.data(), fd_.D.data(), fd_.DI.data(),
+          fd_.F.data(), branches_, prev_.data(), next_.data(), g1_.data(),
+          v1_.data(), v2_.data(), numB(), kL);
+    } else {
+      acoustics::refFiMmBoundary(g.boundaryIndices.data(), g.nbrs.data(),
+                                 g.material.data(), beta_.data(),
+                                 prev_.data(), next_.data(), numB(), kL);
+    }
+  }
+  void classBoundary() {
+    const auto& cp = grid_->boundaryClasses;
+    for (const auto& ln : launches_) {
+      if (fdmm() && ln.fixedNbr >= 0) {
+        acoustics::refFdMmClassRange(
+            cp.cellSorted.data(), cp.matSorted.data(), cp.order.data(),
+            ln.fixedNbr, beta_.data(), fd_.BI.data(), fd_.D.data(),
+            fd_.DI.data(), fd_.F.data(), branches_, prev_.data(),
+            next_.data(), g1_.data(), v1_.data(), v2_.data(), numB(),
+            ln.begin, ln.end, kL);
+      } else if (fdmm()) {
+        acoustics::refFdMmMixedRange(
+            cp.cellSorted.data(), cp.nbrSorted.data(), cp.matSorted.data(),
+            cp.order.data(), beta_.data(), fd_.BI.data(), fd_.D.data(),
+            fd_.DI.data(), fd_.F.data(), branches_, prev_.data(),
+            next_.data(), g1_.data(), v1_.data(), v2_.data(), numB(),
+            ln.begin, ln.end, kL);
+      } else if (ln.fixedNbr >= 0) {
+        acoustics::refFiMmClassRange(cp.cellSorted.data(),
+                                     cp.matSorted.data(), ln.fixedNbr,
+                                     beta_.data(), prev_.data(),
+                                     next_.data(), ln.begin, ln.end, kL);
+      } else {
+        acoustics::refFiMmMixedRange(
+            cp.cellSorted.data(), cp.nbrSorted.data(), cp.matSorted.data(),
+            beta_.data(), prev_.data(), next_.data(), ln.begin, ln.end, kL);
+      }
+    }
+  }
+
+  const double kL = acoustics::SimParams{}.l();
+  const double kL2 = acoustics::SimParams{}.l2();
+  std::shared_ptr<const acoustics::RoomGrid> grid_;
+  acoustics::BoundaryModel model_;
+  bool lookupVolume_;
+  bool flatBoundary_;
+  int branches_;
+  std::vector<double> prev_, curr_, next_, g1_, v1_, v2_;
+  std::vector<double> beta_;
+  acoustics::FdCoeffs fd_;
+  std::vector<acoustics::BoundaryLaunch> launches_;
+};
+
+/// One model's serial loops: the stepper's kernels, and the same loop with
+/// the volume phase (`lookup`) or the boundary phase (`flat`) swapped for
+/// the listing kernel.
 struct PathRow {
   acoustics::BoundaryModel model;
-  PathTiming runs, lookup;
+  PhaseTiming stepper, lookup, flat;
 };
 
 struct ScalingRow {
   acoustics::BoundaryModel model;
-  const char* stepper;
   int threads;
   double stepMs, speedup;
 };
@@ -108,8 +248,7 @@ struct ScalingRow {
 
 int main(int argc, char** argv) {
   const auto opt = BenchOptions::fromArgs(argc, argv);
-  printBenchBanner("Reference stepper thread scaling (serial vs z-slab tiled)",
-                   opt);
+  printBenchBanner("Reference stepper thread scaling (task graph)", opt);
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::vector<int> threadCounts = {1, 2, 4};
@@ -121,79 +260,81 @@ int main(int argc, char** argv) {
   const auto rooms = benchRooms(acoustics::RoomShape::Box, opt.full);
   const auto& sized = rooms.front();
 
-  Table table({"Algorithm", "Size", "Stepper", "Threads", "Step ms",
-               "Speedup"});
+  Table table({"Algorithm", "Size", "Threads", "Step ms", "Speedup"});
   std::vector<ScalingRow> scalingRows;
   double fiGraphSpeedup4 = 0.0, fdmmGraphSpeedup4 = 0.0;
   for (auto model : {acoustics::BoundaryModel::FiMm,
                      acoustics::BoundaryModel::FdMm}) {
-    // One serial baseline per model (threads=1 takes the fully serial path
-    // regardless of the stepper knob), then each parallel stepper against it.
-    const double serialMs = medianStepMs(
-        sized.room, model, 1, acoustics::StepperKind::TaskGraph, opt);
-    table.addRow({acoustics::modelName(model), sized.label, "serial", "1",
-                  strformat("%.4f", serialMs), "1.00x"});
-    scalingRows.push_back({model, "serial", 1, serialMs, 1.0});
-    for (auto stepper : {acoustics::StepperKind::Barrier,
-                         acoustics::StepperKind::TaskGraph}) {
-      for (int t : threadCounts) {
-        if (t == 1) continue;
-        const double ms = medianStepMs(sized.room, model, t, stepper, opt);
-        const double speedup = ms > 0.0 ? serialMs / ms : 0.0;
-        table.addRow({acoustics::modelName(model), sized.label,
-                      stepperName(stepper), std::to_string(t),
-                      strformat("%.4f", ms), strformat("%.2fx", speedup)});
-        scalingRows.push_back({model, stepperName(stepper), t, ms, speedup});
-        if (t == 4 && stepper == acoustics::StepperKind::TaskGraph) {
-          (model == acoustics::BoundaryModel::FiMm ? fiGraphSpeedup4
-                                                   : fdmmGraphSpeedup4) =
-              speedup;
-        }
+    // threadCounts starts at 1: the serial baseline of every speedup.
+    double serialMs = 0.0;
+    for (int t : threadCounts) {
+      const double ms = medianStepMs(sized.room, model, t, opt);
+      if (t == 1) serialMs = ms;
+      const double speedup = ms > 0.0 ? serialMs / ms : 0.0;
+      table.addRow({acoustics::modelName(model), sized.label,
+                    std::to_string(t), strformat("%.4f", ms),
+                    strformat("%.2fx", speedup)});
+      scalingRows.push_back({model, t, ms, speedup});
+      if (t == 4) {
+        (model == acoustics::BoundaryModel::FiMm ? fiGraphSpeedup4
+                                                 : fdmmGraphSpeedup4) =
+            speedup;
       }
     }
   }
   std::printf("%s\n", table.render().c_str());
   std::printf(
-      "task-graph 4-thread speedup: FI %.2fx (target 2.5x), FD-MM %.2fx\n"
-      "(target 1.3x) — meaningful only with >=4 physical cores (hw=%u).\n"
-      "All partitions are disjoint and conflicts edge-ordered, so every\n"
-      "stepper/thread combination is bit-identical to serial.\n\n",
+      "4-thread speedup: FI %.2fx (target 2.0x), FD-MM %.2fx (target 1.3x)\n"
+      "— meaningful only with >=4 physical cores (hw=%u). All partitions are\n"
+      "disjoint and conflicts edge-ordered, so every thread count is\n"
+      "bit-identical to the listing kernels.\n\n",
       fiGraphSpeedup4, fdmmGraphSpeedup4, hw);
 
-  // Volume-path comparison at one thread: the interior-run plan (branchless
-  // SIMD inner loops over precomputed maximal runs + a small residual sweep)
-  // vs the per-cell nbrs-lookup scan, on the box room where the paper's
-  // volume kernel dominates. Mcells/s counts inside cells per volume phase.
+  // Kernel comparisons at one thread, each inside a serial step loop so
+  // every phase runs in a real step's cache state. Volume: the interior-run
+  // plan (branchless SIMD inner loops over precomputed maximal runs + a
+  // small residual sweep) vs the listings' per-cell nbrs-lookup scan.
+  // Boundary (FI-MM and FD-MM, the models whose boundary phase carries
+  // material / branch state): the topology-class launches (sorted
+  // class-major layout, branch-free per-class kernels) vs the listings'
+  // flat fused scatter with its per-point grid-wide nbrs gather.
   const auto grid = acoustics::voxelizeCached(sized.room, 3);
   const auto insideCells = grid->insideCells;
-  Table pathTable({"Algorithm", "Size", "Volume path", "Volume ms",
-                   "Mcells/s", "Speedup"});
+  const auto mcells = [&](double ms) {
+    return ms > 0.0 ? static_cast<double>(insideCells) / (ms * 1e3) : 0.0;
+  };
   std::vector<PathRow> pathRows;
-  double worstSpeedup = 1e30;
   for (auto model : {acoustics::BoundaryModel::FusedFi,
                      acoustics::BoundaryModel::FiMm,
                      acoustics::BoundaryModel::FdMm}) {
-    PathRow row{model, {}, {}};
-    row.lookup = measure(sized.room, model, 1, acoustics::VolumePath::Lookup,
-                         acoustics::StepperKind::TaskGraph, opt);
-    row.runs = measure(sized.room, model, 1, acoustics::VolumePath::Runs,
-                       acoustics::StepperKind::TaskGraph, opt);
-    const double speedup =
-        row.runs.volumeMs > 0.0 ? row.lookup.volumeMs / row.runs.volumeMs : 0.0;
-    worstSpeedup = std::min(worstSpeedup, speedup);
-    for (const bool isRuns : {false, true}) {
-      const PathTiming& t = isRuns ? row.runs : row.lookup;
-      const double mcells =
-          t.volumeMs > 0.0
-              ? static_cast<double>(insideCells) / (t.volumeMs * 1e3)
-              : 0.0;
-      pathTable.addRow({acoustics::modelName(model), sized.label,
-                        isRuns ? "interior-run" : "lookup",
-                        strformat("%.4f", t.volumeMs),
-                        strformat("%.1f", mcells),
-                        isRuns ? strformat("%.2fx", speedup) : "1.00x"});
+    PathRow row{model, {}, {}, {}};
+    row.stepper =
+        SerialLoop(sized.room, model, false, false, opt.branches).time(opt);
+    row.lookup =
+        SerialLoop(sized.room, model, true, false, opt.branches).time(opt);
+    if (model != acoustics::BoundaryModel::FusedFi) {
+      row.flat =
+          SerialLoop(sized.room, model, false, true, opt.branches).time(opt);
     }
     pathRows.push_back(row);
+  }
+
+  Table pathTable({"Algorithm", "Size", "Volume kernel", "Volume ms",
+                   "Mcells/s", "Speedup"});
+  double worstSpeedup = 1e30;
+  for (const auto& r : pathRows) {
+    const double speedup = r.stepper.volumeMs > 0.0
+                               ? r.lookup.volumeMs / r.stepper.volumeMs
+                               : 0.0;
+    worstSpeedup = std::min(worstSpeedup, speedup);
+    pathTable.addRow({acoustics::modelName(r.model), sized.label, "lookup",
+                      strformat("%.4f", r.lookup.volumeMs),
+                      strformat("%.1f", mcells(r.lookup.volumeMs)),
+                      "1.00x"});
+    pathTable.addRow({acoustics::modelName(r.model), sized.label,
+                      "interior-run", strformat("%.4f", r.stepper.volumeMs),
+                      strformat("%.1f", mcells(r.stepper.volumeMs)),
+                      strformat("%.2fx", speedup)});
   }
   std::printf("%s\n", pathTable.render().c_str());
   std::printf(
@@ -202,57 +343,36 @@ int main(int argc, char** argv) {
       "vectorizes the interior loop)\n\n",
       worstSpeedup >= 1.3 ? "[yes]" : "[no]");
 
-  // Boundary-path comparison at one thread: topology-class fission (sorted
-  // class-major layout, branch-free per-class kernels) vs the flat fused
-  // scatter with its per-point grid-wide nbrs gather. FI-MM and FD-MM are
-  // the models whose boundary phase carries material/branch state.
-  struct BoundaryRow {
-    acoustics::BoundaryModel model;
-    PathTiming flat, classes;
-    double speedup = 0.0;
-  };
-  Table bndTable({"Algorithm", "Size", "Boundary path", "Boundary ms",
+  Table bndTable({"Algorithm", "Size", "Boundary kernel", "Boundary ms",
                   "Step ms", "Share", "Speedup"});
-  std::vector<BoundaryRow> boundaryRows;
   double fdmmClassesSpeedup = 0.0;
   double fdmmFlatShare = 0.0, fdmmClassesShare = 0.0;
-  for (auto model : {acoustics::BoundaryModel::FiMm,
-                     acoustics::BoundaryModel::FdMm}) {
-    BoundaryRow row{model, {}, {}, 0.0};
-    row.flat = measure(sized.room, model, 1, acoustics::VolumePath::Runs,
-                       acoustics::StepperKind::TaskGraph, opt,
-                       acoustics::BoundaryPath::Flat);
-    row.classes = measure(sized.room, model, 1, acoustics::VolumePath::Runs,
-                          acoustics::StepperKind::TaskGraph, opt,
-                          acoustics::BoundaryPath::Classes);
-    row.speedup = row.classes.boundaryMs > 0.0
-                      ? row.flat.boundaryMs / row.classes.boundaryMs
-                      : 0.0;
+  for (const auto& r : pathRows) {
+    if (r.model == acoustics::BoundaryModel::FusedFi) continue;
+    const double speedup = r.stepper.boundaryMs > 0.0
+                               ? r.flat.boundaryMs / r.stepper.boundaryMs
+                               : 0.0;
     for (const bool isClasses : {false, true}) {
-      const PathTiming& t = isClasses ? row.classes : row.flat;
-      const double share =
-          t.stepMs > 0.0 ? 100.0 * t.boundaryMs / t.stepMs : 0.0;
-      bndTable.addRow({acoustics::modelName(model), sized.label,
+      const PhaseTiming& t = isClasses ? r.stepper : r.flat;
+      bndTable.addRow({acoustics::modelName(r.model), sized.label,
                        isClasses ? "classes" : "flat",
                        strformat("%.4f", t.boundaryMs),
-                       strformat("%.4f", t.stepMs),
-                       strformat("%.1f%%", share),
-                       isClasses ? strformat("%.2fx", row.speedup) : "1.00x"});
-      if (model == acoustics::BoundaryModel::FdMm) {
-        (isClasses ? fdmmClassesShare : fdmmFlatShare) = share;
-      }
+                       strformat("%.4f", t.stepMs()),
+                       strformat("%.1f%%", 100.0 * t.boundaryShare()),
+                       isClasses ? strformat("%.2fx", speedup) : "1.00x"});
     }
-    if (model == acoustics::BoundaryModel::FdMm) {
-      fdmmClassesSpeedup = row.speedup;
+    if (r.model == acoustics::BoundaryModel::FdMm) {
+      fdmmClassesSpeedup = speedup;
+      fdmmFlatShare = r.flat.boundaryShare();
+      fdmmClassesShare = r.stepper.boundaryShare();
     }
-    boundaryRows.push_back(row);
   }
   std::printf("%s\n", bndTable.render().c_str());
   std::printf(
       "FD-MM boundary share of step time: %.1f%% flat -> %.1f%% classes\n"
       "(fission drops the per-point nbrs gather over the full grid and the\n"
       "data-dependent coefficient select; fields stay bit-identical)\n\n",
-      fdmmFlatShare, fdmmClassesShare);
+      100.0 * fdmmFlatShare, 100.0 * fdmmClassesShare);
 
   // Per-class FD-MM breakdown: each class's branch-free kernel timed over
   // its slot range of the class-major layout.
@@ -262,44 +382,20 @@ int main(int argc, char** argv) {
   std::printf("FD-MM per-class boundary kernels (1 thread):\n%s\n",
               renderClassBreakdown(classRows).c_str());
 
-  // Explicit perf gates, printed and mirrored into the JSON "gates" array
-  // that CI's perf-smoke job iterates. Thread-scaling and task-parallel
-  // boundary gates are skipped — with the reason recorded — when the
-  // machine measured has fewer than 4 cores; the serial gates always apply.
-  const bool canScale = hw >= 4;
-  const std::string scaleSkip =
-      canScale ? ""
-               : strformat("hardware_concurrency=%u < 4 at measurement time",
-                           hw);
-  std::vector<Gate> gates;
-  auto addGate = [&gates](const std::string& name, double value,
-                          double target, const std::string& skipReason) {
-    gates.push_back({name, value, target, value >= target,
-                     !skipReason.empty(), skipReason});
-  };
-  addGate("fi_taskgraph_speedup_4t", fiGraphSpeedup4, 2.0, scaleSkip);
-  addGate("fdmm_taskgraph_speedup_4t", fdmmGraphSpeedup4, 1.3, scaleSkip);
-  // The last two are serial measurements, but on small shared runners the
+  // Explicit perf gates. Thread-scaling gates are skipped — with the reason
+  // recorded — when the machine measured has fewer than 4 cores; the two
+  // kernel gates are serial measurements, but on small shared runners the
   // timing ratios swing far too wide to enforce (observed 1.06-1.63x for
-  // the same binary back to back on one loaded core); skip-logged below 4
-  // cores like the thread-scaling gates.
-  addGate("runs_speedup_min", worstSpeedup, 1.3, scaleSkip);
-  addGate("fdmm_boundary_classes_speedup", fdmmClassesSpeedup, 1.4,
-          scaleSkip);
-  std::printf("perf gates:\n");
-  bool anyFailed = false;
-  for (const auto& g : gates) {
-    if (g.skipped) {
-      std::printf("  [skip] %-32s %.2f (target %.2f) — %s\n", g.name.c_str(),
-                  g.value, g.target, g.reason.c_str());
-    } else {
-      std::printf("  [%s] %-32s %.2f (target %.2f)\n",
-                  g.met ? "pass" : "FAIL", g.name.c_str(), g.value, g.target);
-      anyFailed = anyFailed || !g.met;
-    }
-  }
-  std::printf("%s\n", anyFailed ? "one or more enforced gates FAILED"
-                                : "all enforced gates pass");
+  // the same binary back to back on one loaded core), so they share the
+  // skip rule.
+  const std::string scaleSkip = fewCoresSkipReason();
+  const std::vector<Gate> gates = {
+      makeGate("fi_taskgraph_speedup_4t", fiGraphSpeedup4, 2.0, scaleSkip),
+      makeGate("fdmm_taskgraph_speedup_4t", fdmmGraphSpeedup4, 1.3, scaleSkip),
+      makeGate("runs_speedup_min", worstSpeedup, 1.3, scaleSkip),
+      makeGate("fdmm_boundary_classes_speedup", fdmmClassesSpeedup, 1.4,
+               scaleSkip)};
+  printGates(gates);
 
   // Machine-readable mirror of the tables and gates.
   const std::string jsonPath = "BENCH_refstep.json";
@@ -325,7 +421,6 @@ int main(int argc, char** argv) {
   for (const auto& r : scalingRows) {
     json.beginObject()
         .field("model", jsonModelKey(r.model))
-        .field("stepper", r.stepper)
         .field("threads", r.threads)
         .field("step_ms", r.stepMs)
         .field("speedup", r.speedup, 4)
@@ -333,48 +428,43 @@ int main(int argc, char** argv) {
   }
   json.endArray();
   json.field("fi_taskgraph_speedup_4t", fiGraphSpeedup4, 4)
-      .field("fi_taskgraph_target", 2.5, 1)
+      .field("fi_taskgraph_target", 2.0, 1)
       .field("fdmm_taskgraph_speedup_4t", fdmmGraphSpeedup4, 4)
       .field("fdmm_taskgraph_target", 1.3, 1);
   json.key("volume_path").beginArray();
   for (const auto& r : pathRows) {
     for (const bool isRuns : {false, true}) {
-      const PathTiming& t = isRuns ? r.runs : r.lookup;
-      const double mcells =
-          t.volumeMs > 0.0
-              ? static_cast<double>(insideCells) / (t.volumeMs * 1e3)
-              : 0.0;
+      const PhaseTiming& t = isRuns ? r.stepper : r.lookup;
       json.beginObject()
           .field("model", jsonModelKey(r.model))
           .field("path", isRuns ? "runs" : "lookup")
           .field("volume_ms", t.volumeMs)
-          .field("step_ms", t.stepMs)
-          .field("volume_mcells_per_s", mcells, 3)
+          .field("step_ms", t.stepMs())
+          .field("volume_mcells_per_s", mcells(t.volumeMs), 3)
           .endObject();
     }
   }
   json.endArray();
   json.field("runs_speedup_min", worstSpeedup, 4)
-      .field("runs_speedup_target", 1.3, 1)
-      .field("target_met", worstSpeedup >= 1.3);
+      .field("runs_speedup_target", 1.3, 1);
   json.key("boundary_path").beginArray();
-  for (const auto& r : boundaryRows) {
+  for (const auto& r : pathRows) {
+    if (r.model == acoustics::BoundaryModel::FusedFi) continue;
     for (const bool isClasses : {false, true}) {
-      const PathTiming& t = isClasses ? r.classes : r.flat;
+      const PhaseTiming& t = isClasses ? r.stepper : r.flat;
       json.beginObject()
           .field("model", jsonModelKey(r.model))
           .field("path", isClasses ? "classes" : "flat")
           .field("boundary_ms", t.boundaryMs)
-          .field("step_ms", t.stepMs)
-          .field("boundary_share",
-                 t.stepMs > 0.0 ? t.boundaryMs / t.stepMs : 0.0, 4)
+          .field("step_ms", t.stepMs())
+          .field("boundary_share", t.boundaryShare(), 4)
           .endObject();
     }
   }
   json.endArray();
   json.field("fdmm_boundary_classes_speedup", fdmmClassesSpeedup, 4)
-      .field("fdmm_boundary_share_flat", fdmmFlatShare / 100.0, 4)
-      .field("fdmm_boundary_share_classes", fdmmClassesShare / 100.0, 4);
+      .field("fdmm_boundary_share_flat", fdmmFlatShare, 4)
+      .field("fdmm_boundary_share_classes", fdmmClassesShare, 4);
   json.key("boundary_classes").beginArray();
   for (const auto& c : classRows) {
     json.beginObject()
@@ -387,18 +477,7 @@ int main(int argc, char** argv) {
         .endObject();
   }
   json.endArray();
-  json.key("gates").beginArray();
-  for (const auto& g : gates) {
-    json.beginObject()
-        .field("name", g.name)
-        .field("value", g.value, 4)
-        .field("target", g.target, 2)
-        .field("met", g.met)
-        .field("skipped", g.skipped)
-        .field("reason", g.reason)
-        .endObject();
-  }
-  json.endArray();
+  writeGates(json, gates);
   json.endObject();
   try {
     json.writeFile(jsonPath);

@@ -49,13 +49,10 @@ void refFusedFiBox(const T* prev, const T* curr, T* next, int nx, int ny,
 }
 
 template <typename T>
-void refFusedFiLookupSlab(const std::int32_t* nbrs, const T* prev,
-                          const T* curr, T* next, int nx, int ny, int z0,
-                          int z1, T l, T l2, T beta) {
-  const std::int64_t plane = static_cast<std::int64_t>(nx) * ny;
-  const std::int64_t begin = static_cast<std::int64_t>(z0) * plane;
-  const std::int64_t end = static_cast<std::int64_t>(z1) * plane;
-  for (std::int64_t idx = begin; idx < end; ++idx) {
+void refFusedFiLookup(const std::int32_t* nbrs, const T* prev, const T* curr,
+                      T* next, int nx, int ny, int nz, T l, T l2, T beta) {
+  const std::int64_t cells = static_cast<std::int64_t>(nx) * ny * nz;
+  for (std::int64_t idx = 0; idx < cells; ++idx) {
     const int nbr = nbrs[idx];
     if (nbr > 0) {
       const T s = curr[idx - 1] + curr[idx + 1] + curr[idx - nx] +
@@ -75,19 +72,11 @@ void refFusedFiLookupSlab(const std::int32_t* nbrs, const T* prev,
 }
 
 template <typename T>
-void refFusedFiLookup(const std::int32_t* nbrs, const T* prev, const T* curr,
-                      T* next, int nx, int ny, int nz, T l, T l2, T beta) {
-  refFusedFiLookupSlab(nbrs, prev, curr, next, nx, ny, 0, nz, l, l2, beta);
-}
-
-template <typename T>
-void refVolumeSlab(const std::int32_t* nbrs, const T* prev, const T* curr,
-                   T* next, int nx, int ny, int z0, int z1, T l2) {
+void refVolume(const std::int32_t* nbrs, const T* prev, const T* curr,
+               T* next, int nx, int ny, int nz, T l2) {
   // Listing 2, kernel 1.
-  const std::int64_t plane = static_cast<std::int64_t>(nx) * ny;
-  const std::int64_t begin = static_cast<std::int64_t>(z0) * plane;
-  const std::int64_t end = static_cast<std::int64_t>(z1) * plane;
-  for (std::int64_t idx = begin; idx < end; ++idx) {
+  const std::int64_t cells = static_cast<std::int64_t>(nx) * ny * nz;
+  for (std::int64_t idx = 0; idx < cells; ++idx) {
     const int nbr = nbrs[idx];
     if (nbr > 0) {  // inside or at boundary
       const T s = curr[idx - 1] + curr[idx + 1] + curr[idx - nx] +
@@ -97,12 +86,6 @@ void refVolumeSlab(const std::int32_t* nbrs, const T* prev, const T* curr,
       next[idx] = (T(2.0) - l2 * T(nbr)) * curr[idx] + l2 * s - prev[idx];
     }
   }
-}
-
-template <typename T>
-void refVolume(const std::int32_t* nbrs, const T* prev, const T* curr,
-               T* next, int nx, int ny, int nz, T l2) {
-  refVolumeSlab(nbrs, prev, curr, next, nx, ny, 0, nz, l2);
 }
 
 template <typename T>
@@ -188,38 +171,14 @@ void refFusedFiRuns(const std::int64_t* runBegin, const std::int32_t* runLen,
 }
 
 template <typename T>
-void refFiBoundaryRange(const std::int32_t* boundaryIndices,
-                        const std::int32_t* nbrs, const T* prev, T* next,
-                        std::int64_t i0, std::int64_t i1, T l, T beta) {
-  // Listing 2, kernel 2.
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const std::int32_t idx = boundaryIndices[i];
-    const int nbr = nbrs[idx];
-    const T cf = T(0.5) * l * T(6 - nbr) * beta;
-    next[idx] = (next[idx] + cf * prev[idx]) / (T(1.0) + cf);
-  }
-}
-
-template <typename T>
 void refFiBoundary(const std::int32_t* boundaryIndices,
                    const std::int32_t* nbrs, const T* prev, T* next,
                    std::int64_t numBoundaryPoints, T l, T beta) {
-  refFiBoundaryRange(boundaryIndices, nbrs, prev, next, 0, numBoundaryPoints,
-                     l, beta);
-}
-
-template <typename T>
-void refFiMmBoundaryRange(const std::int32_t* boundaryIndices,
-                          const std::int32_t* nbrs,
-                          const std::int32_t* material, const T* beta,
-                          const T* prev, T* next, std::int64_t i0,
-                          std::int64_t i1, T l) {
-  // Listing 3.
-  for (std::int64_t i = i0; i < i1; ++i) {
+  // Listing 2, kernel 2.
+  for (std::int64_t i = 0; i < numBoundaryPoints; ++i) {
     const std::int32_t idx = boundaryIndices[i];
     const int nbr = nbrs[idx];
-    const int mi = material[i];
-    const T cf = T(0.5) * l * T(6 - nbr) * beta[mi];
+    const T cf = T(0.5) * l * T(6 - nbr) * beta;
     next[idx] = (next[idx] + cf * prev[idx]) / (T(1.0) + cf);
   }
 }
@@ -229,22 +188,27 @@ void refFiMmBoundary(const std::int32_t* boundaryIndices,
                      const std::int32_t* nbrs, const std::int32_t* material,
                      const T* beta, const T* prev, T* next,
                      std::int64_t numBoundaryPoints, T l) {
-  refFiMmBoundaryRange(boundaryIndices, nbrs, material, beta, prev, next, 0,
-                       numBoundaryPoints, l);
+  // Listing 3.
+  for (std::int64_t i = 0; i < numBoundaryPoints; ++i) {
+    const std::int32_t idx = boundaryIndices[i];
+    const int nbr = nbrs[idx];
+    const int mi = material[i];
+    const T cf = T(0.5) * l * T(6 - nbr) * beta[mi];
+    next[idx] = (next[idx] + cf * prev[idx]) / (T(1.0) + cf);
+  }
 }
 
 template <typename T>
-void refFdMmBoundaryRange(const std::int32_t* boundaryIndices,
-                          const std::int32_t* nbrs,
-                          const std::int32_t* material, const T* beta,
-                          const T* BI, const T* D, const T* DI, const T* F,
-                          int numBranches, const T* prev, T* next, T* g1,
-                          T* v1, const T* v2, std::int64_t numBoundaryPoints,
-                          std::int64_t i0, std::int64_t i1, T l) {
+void refFdMmBoundary(const std::int32_t* boundaryIndices,
+                     const std::int32_t* nbrs, const std::int32_t* material,
+                     const T* beta, const T* BI, const T* D, const T* DI,
+                     const T* F, int numBranches, const T* prev, T* next,
+                     T* g1, T* v1, const T* v2,
+                     std::int64_t numBoundaryPoints, T l) {
   // Listing 4, kept structurally identical (private copies, two branch
   // loops, in-place writes to next / g1 / v1).
   LIFTA_CHECK(numBranches <= kMaxBranches, "too many ODE branches");
-  for (std::int64_t i = i0; i < i1; ++i) {
+  for (std::int64_t i = 0; i < numBoundaryPoints; ++i) {
     T _g1[kMaxBranches];
     T _v2[kMaxBranches];
     const std::int32_t idx = boundaryIndices[i];
@@ -280,7 +244,7 @@ template <typename T>
 void refFiClassRange(const std::int32_t* cellSorted, int nbr, const T* prev,
                      T* next, std::int64_t j0, std::int64_t j1, T l, T beta) {
   // Listing 2, kernel 2, with the class-uniform nbr: the whole coefficient
-  // hoists (same left-to-right association as refFiBoundaryRange).
+  // hoists (same left-to-right association as refFiBoundary).
   const T cf = T(0.5) * l * T(6 - nbr) * beta;
   const T cfp1 = T(1.0) + cf;
   for (std::int64_t j = j0; j < j1; ++j) {
@@ -464,18 +428,6 @@ void refFdMmMixedRange(const std::int32_t* cellSorted,
   }
 }
 
-template <typename T>
-void refFdMmBoundary(const std::int32_t* boundaryIndices,
-                     const std::int32_t* nbrs, const std::int32_t* material,
-                     const T* beta, const T* BI, const T* D, const T* DI,
-                     const T* F, int numBranches, const T* prev, T* next,
-                     T* g1, T* v1, const T* v2,
-                     std::int64_t numBoundaryPoints, T l) {
-  refFdMmBoundaryRange(boundaryIndices, nbrs, material, beta, BI, D, DI, F,
-                       numBranches, prev, next, g1, v1, v2, numBoundaryPoints,
-                       0, numBoundaryPoints, l);
-}
-
 // Explicit instantiations for both paper precisions.
 #define LIFTA_INSTANTIATE(T)                                                  \
   template void refFusedFiBox<T>(const T*, const T*, T*, int, int, int, T, T, \
@@ -484,13 +436,8 @@ void refFdMmBoundary(const std::int32_t* boundaryIndices,
                                      int, int, T, T, T);                      \
   template void refFusedFiLookup<T>(const std::int32_t*, const T*, const T*,  \
                                     T*, int, int, int, T, T, T);              \
-  template void refFusedFiLookupSlab<T>(const std::int32_t*, const T*,        \
-                                        const T*, T*, int, int, int, int, T,  \
-                                        T, T);                                \
   template void refVolume<T>(const std::int32_t*, const T*, const T*, T*,     \
                              int, int, int, T);                               \
-  template void refVolumeSlab<T>(const std::int32_t*, const T*, const T*,     \
-                                 T*, int, int, int, int, T);                  \
   template void refVolumeRunsRange<T>(const std::int64_t*,                    \
                                       const std::int32_t*, std::size_t,       \
                                       std::size_t, const T*, const T*, T*,    \
@@ -513,26 +460,14 @@ void refFdMmBoundary(const std::int32_t* boundaryIndices,
                                   T);                                         \
   template void refFiBoundary<T>(const std::int32_t*, const std::int32_t*,    \
                                  const T*, T*, std::int64_t, T, T);           \
-  template void refFiBoundaryRange<T>(const std::int32_t*,                    \
-                                      const std::int32_t*, const T*, T*,      \
-                                      std::int64_t, std::int64_t, T, T);      \
   template void refFiMmBoundary<T>(const std::int32_t*, const std::int32_t*,  \
                                    const std::int32_t*, const T*, const T*,   \
                                    T*, std::int64_t, T);                      \
-  template void refFiMmBoundaryRange<T>(const std::int32_t*,                  \
-                                        const std::int32_t*,                  \
-                                        const std::int32_t*, const T*,        \
-                                        const T*, T*, std::int64_t,           \
-                                        std::int64_t, T);                     \
   template void refFdMmBoundary<T>(const std::int32_t*, const std::int32_t*,  \
                                    const std::int32_t*, const T*, const T*,   \
                                    const T*, const T*, const T*, int,         \
                                    const T*, T*, T*, T*, const T*,            \
                                    std::int64_t, T);                          \
-  template void refFdMmBoundaryRange<T>(                                      \
-      const std::int32_t*, const std::int32_t*, const std::int32_t*,          \
-      const T*, const T*, const T*, const T*, const T*, int, const T*, T*,    \
-      T*, T*, const T*, std::int64_t, std::int64_t, std::int64_t, T);         \
   template void refFiClassRange<T>(const std::int32_t*, int, const T*, T*,    \
                                    std::int64_t, std::int64_t, T, T);         \
   template void refFiMixedRange<T>(const std::int32_t*, const std::int32_t*,  \

@@ -6,14 +6,13 @@
 // All functions operate on flat grids with idx = z*Nx*Ny + y*Nx + x and use
 // the buffer roles of the paper: `prev` (t-2), `curr` (t-1), `next` (t).
 //
-// Every kernel comes in two forms: the full-grid form of the listings and a
-// ranged form (`*Slab` over z-slabs for the volume kernels, `*Range` over
-// boundary-point index ranges for the boundary kernels). The ranged forms
-// perform the identical per-cell arithmetic in the identical order, so a
-// partition of the full range reproduces the full-grid result bit-for-bit;
-// they exist so Simulation<T>::step can tile the work across a thread pool
-// (z-slabs write disjoint cells; boundary-point ranges are disjoint by
-// construction since boundaryIndices holds unique cells).
+// The listing kernels (refFusedFiLookup, refVolume, refFiBoundary,
+// refFiMmBoundary, refFdMmBoundary) are whole-grid, exactly as the paper
+// writes them: they are the pointwise oracles the other tiers and the
+// stepper are tested against. Simulation<T> steps with the ranged
+// interior-run and boundary-class kernels below, which perform the identical
+// per-cell arithmetic over disjoint ranges, so any partition of the grid
+// reproduces the listing kernels bit-for-bit.
 #pragma once
 
 #include <cstddef>
@@ -38,21 +37,10 @@ template <typename T>
 void refFusedFiLookup(const std::int32_t* nbrs, const T* prev, const T* curr,
                       T* next, int nx, int ny, int nz, T l, T l2, T beta);
 
-/// refFusedFiLookup restricted to z in [z0, z1).
-template <typename T>
-void refFusedFiLookupSlab(const std::int32_t* nbrs, const T* prev,
-                          const T* curr, T* next, int nx, int ny, int z0,
-                          int z1, T l, T l2, T beta);
-
 /// Listing 2, kernel 1: volume handling only (shared by FI-MM and FD-MM).
 template <typename T>
 void refVolume(const std::int32_t* nbrs, const T* prev, const T* curr,
                T* next, int nx, int ny, int nz, T l2);
-
-/// refVolume restricted to z in [z0, z1).
-template <typename T>
-void refVolumeSlab(const std::int32_t* nbrs, const T* prev, const T* curr,
-                   T* next, int nx, int ny, int z0, int z1, T l2);
 
 // ---- Interior-run kernels ------------------------------------------------
 //
@@ -64,9 +52,8 @@ void refVolumeSlab(const std::int32_t* nbrs, const T* prev, const T* curr,
 // 7-point stencil while the result stays bit-identical to the lookup
 // kernels. The residual boundary-adjacent cells (exactly the grid's
 // boundaryIndices) are updated by the matching per-cell formula of the
-// lookup kernel they replace. Ranged forms exist for the same reason as
-// the *Slab/*Range forms above: disjoint partitions reproduce the
-// full-grid result bit-for-bit.
+// lookup kernel they replace. The ranged forms let the stepper run one
+// slab's runs and residual cells per task.
 
 /// Branch-free interior update over runs r in [r0, r1) of the plan.
 template <typename T>
@@ -76,7 +63,7 @@ void refVolumeRunsRange(const std::int64_t* runBegin,
                         int nx, int ny, T l2);
 
 /// Generic-volume residual: boundary cells i in [i0, i1) get the Listing 2
-/// volume formula (2 - l2*nbr)*curr + l2*s - prev, as refVolumeSlab does.
+/// volume formula (2 - l2*nbr)*curr + l2*s - prev, as refVolume does.
 template <typename T>
 void refVolumeResidualRange(const std::int32_t* boundaryIndices,
                             const std::int32_t* boundaryNbr, std::int64_t i0,
@@ -84,7 +71,7 @@ void refVolumeResidualRange(const std::int32_t* boundaryIndices,
                             T* next, int nx, int ny, T l2);
 
 /// Fused-FI residual: boundary cells i in [i0, i1) get the Listing 1 fused
-/// boundary formula, as refFusedFiLookupSlab does for nbr < 6.
+/// boundary formula, as refFusedFiLookup does for nbr < 6.
 template <typename T>
 void refFusedFiResidualRange(const std::int32_t* boundaryIndices,
                              const std::int32_t* boundaryNbr, std::int64_t i0,
@@ -116,26 +103,12 @@ void refFiBoundary(const std::int32_t* boundaryIndices,
                    const std::int32_t* nbrs, const T* prev, T* next,
                    std::int64_t numBoundaryPoints, T l, T beta);
 
-/// refFiBoundary restricted to boundary points i in [i0, i1).
-template <typename T>
-void refFiBoundaryRange(const std::int32_t* boundaryIndices,
-                        const std::int32_t* nbrs, const T* prev, T* next,
-                        std::int64_t i0, std::int64_t i1, T l, T beta);
-
 /// Listing 3: FI-MM — multi-material frequency-independent boundary.
 template <typename T>
 void refFiMmBoundary(const std::int32_t* boundaryIndices,
                      const std::int32_t* nbrs, const std::int32_t* material,
                      const T* beta, const T* prev, T* next,
                      std::int64_t numBoundaryPoints, T l);
-
-/// refFiMmBoundary restricted to boundary points i in [i0, i1).
-template <typename T>
-void refFiMmBoundaryRange(const std::int32_t* boundaryIndices,
-                          const std::int32_t* nbrs,
-                          const std::int32_t* material, const T* beta,
-                          const T* prev, T* next, std::int64_t i0,
-                          std::int64_t i1, T l);
 
 /// Listing 4: FD-MM — frequency-dependent multi-material boundary with MB
 /// ODE branches. BI/D/DI/F are flattened [material][branch]; g1/v1/v2 are
@@ -149,26 +122,14 @@ void refFdMmBoundary(const std::int32_t* boundaryIndices,
                      T* g1, T* v1, const T* v2,
                      std::int64_t numBoundaryPoints, T l);
 
-/// refFdMmBoundary restricted to boundary points i in [i0, i1). Note the
-/// branch-state stride stays `numBoundaryPoints` (the full count) because
-/// g1/v1/v2 are laid out over the whole boundary set.
-template <typename T>
-void refFdMmBoundaryRange(const std::int32_t* boundaryIndices,
-                          const std::int32_t* nbrs,
-                          const std::int32_t* material, const T* beta,
-                          const T* BI, const T* D, const T* DI, const T* F,
-                          int numBranches, const T* prev, T* next, T* g1,
-                          T* v1, const T* v2, std::int64_t numBoundaryPoints,
-                          std::int64_t i0, std::int64_t i1, T l);
-
 // ---- Boundary class kernels ----------------------------------------------
 //
 // Per-topology-class forms of the boundary kernels (Listings 2-4), operating
 // on slot ranges [j0, j1) of the BoundaryClassPlan's class-major sorted
 // layout. The *Class* forms take the class's uniform neighbor count as a
 // scalar, so the per-point nbrs gather and the data-dependent coefficient
-// select of the *Range forms disappear: the coefficient subexpressions that
-// depend only on nbr are hoisted out of the loop with their original
+// select of the listing kernels disappear: the coefficient subexpressions
+// that depend only on nbr are hoisted out of the loop with their original
 // left-to-right association preserved, so every point's arithmetic is the
 // identical operations in the identical order — bit-identical to the
 // original-order kernels (points write disjoint cells and, for FD-MM,
@@ -179,8 +140,8 @@ void refFdMmBoundaryRange(const std::int32_t* boundaryIndices,
 //
 // FD-MM branch state stays laid out over the FULL boundary set by original
 // position: class kernels index g1/v1/v2 through origPos (the plan's
-// order[] slice) with the unchanged numBoundaryPoints stride, keeping
-// checkpoints layout-compatible with the unsorted kernels.
+// order[] slice) with the unchanged numBoundaryPoints stride — the layout
+// refFdMmBoundary, the LIFT class kernels and checkpoint v1 all share.
 
 template <typename T>
 void refFiClassRange(const std::int32_t* cellSorted, int nbr, const T* prev,

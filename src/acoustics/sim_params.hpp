@@ -10,66 +10,30 @@
 
 namespace lifta::acoustics {
 
-/// How the reference stepper schedules work across threads.
-enum class StepperKind {
-  /// Dependency-driven task graph on the pool's work-stealing scheduler:
-  /// per-z-slab volume tasks, per-slab boundary tasks, cross-step
-  /// pipelining. Bit-identical to Barrier and to the serial path.
-  TaskGraph,
-  /// Legacy fork/join: two barriered parallelForChunked dispatches per step.
-  /// Kept for A/B comparison in bench/ref_step_scaling.
-  Barrier,
-};
-
-/// How the reference stepper executes the boundary phase.
-enum class BoundaryPath {
-  /// Topology-class fission: per-class branch-free kernels over the
-  /// class-major sorted layout (BoundaryClassPlan), with the fused mixed
-  /// fallback for launches coalescing classes of differing nbr.
-  /// Bit-identical to Flat on every grid.
-  Classes,
-  /// The listings' single mixed kernel over the original boundary order.
-  Flat,
-};
-
-/// How the reference stepper executes the volume phase.
-enum class VolumePath {
-  /// Interior-run plan: branch-free SIMD-friendly loops over the maximal
-  /// nbr==6 runs plus a residual pass over the boundary cells.
-  /// Bit-identical to Lookup on every grid.
-  Runs,
-  /// The listings' per-cell nbrs lookup with data-dependent branches.
-  Lookup,
-};
-
 struct SimParams {
   double c = 344.0;           // speed of sound, m/s
   double sampleRate = 44100;  // Hz
   /// Courant number; defaults to the 3D stability limit 1/sqrt(3).
   double lambda = 1.0 / std::sqrt(3.0);
 
-  // Reference-tier execution knobs. The parallel path partitions the volume
-  // kernels into z-slab tiles and the boundary kernels into disjoint
-  // boundary-point ranges, so the result is bit-identical to the serial path
-  // for every `threads` value (no reductions, no write overlap).
-  /// 0 = share the process-wide pool (hardware concurrency); 1 = serial
-  /// (never touches a thread pool); N > 1 = private pool of N threads.
+  // Reference-tier execution knobs. Every step runs as one dependency task
+  // graph of per-z-slab volume and boundary tasks (acoustics/step_graph), so
+  // the result is bit-identical for every `threads` and `tileZ` value: each
+  // cell is written by exactly one task per step with unchanged per-cell
+  // arithmetic, and every conflicting access pair is edge-ordered.
+  /// 0 = share the process-wide pool (hardware concurrency); 1 = a private
+  /// worker-less pool, which runs the graph serially on the calling thread;
+  /// N > 1 = private pool of N threads.
   int threads = 0;
-  /// Number of z-slabs per tile. Under the TaskGraph stepper this is the
-  /// volume-task granularity (one task per tile per step, for both volume
-  /// paths); under the Barrier stepper it sizes Lookup-path pool chunks.
+  /// Number of z-planes per slab: the step graph's task granularity (one
+  /// volume task and at most one boundary task per slab per step). A
+  /// one-thread pool ignores it and runs each phase as one whole-grid task.
   int tileZ = 4;
-  /// Volume-phase execution plan; Runs and Lookup are bit-identical.
-  VolumePath volumePath = VolumePath::Runs;
-  /// Boundary-phase execution plan; Classes and Flat are bit-identical.
-  BoundaryPath boundaryPath = BoundaryPath::Classes;
-  /// Fused-fallback threshold for Classes-path launch planning: boundary
+  /// Fused-fallback threshold for boundary launch planning: boundary
   /// classes smaller than this coalesce into a shared (possibly mixed-nbr)
   /// launch. 0 = one launch per non-empty class (pure fission). Matches
   /// geometry's kBoundaryFissionMinPoints default.
   int boundaryFissionMinPoints = 256;
-  /// Parallel stepping schedule; both kinds are bit-identical to serial.
-  StepperKind stepper = StepperKind::TaskGraph;
 
   double Ts() const { return 1.0 / sampleRate; }
   /// Grid spacing implied by c, Ts and lambda.

@@ -41,16 +41,17 @@ Simulation<T>::Simulation(Config config) : config_(std::move(config)) {
     pool_ = config_.pool;
   } else if (config_.params.threads == 0) {
     pool_ = &ThreadPool::global();
-  } else if (config_.params.threads > 1) {
+  } else {
+    // threads == 1 spawns no workers: ThreadPool::run executes the step
+    // graph serially on the caller, so every thread count steps one path.
     ownedPool_ = std::make_unique<ThreadPool>(
         static_cast<std::size_t>(config_.params.threads));
     pool_ = ownedPool_.get();
-  }  // threads == 1: pool_ stays null, the stepper runs fully serial.
+  }
 
   LIFTA_CHECK(config_.params.boundaryFissionMinPoints >= 0,
               "params.boundaryFissionMinPoints must be >= 0");
-  if (config_.params.boundaryPath == BoundaryPath::Classes &&
-      config_.model != BoundaryModel::FusedFi &&
+  if (config_.model != BoundaryModel::FusedFi &&
       grid_->boundaryPoints() > 0) {
     launches_ = planBoundaryLaunches(
         grid_->boundaryClasses,
@@ -100,101 +101,7 @@ void Simulation<T>::addImpulse(int x, int y, int z, T amplitude) {
 
 template <typename T>
 std::size_t Simulation<T>::threadsUsed() const {
-  return pool_ ? pool_->threadCount() : 1;
-}
-
-template <typename T>
-void Simulation<T>::forEachSlab(const std::function<void(int, int)>& fn) {
-  const int nz = grid_->nz;
-  if (!pool_) {
-    fn(0, nz);
-    return;
-  }
-  const int tile = config_.params.tileZ;
-  const std::size_t numTiles =
-      (static_cast<std::size_t>(nz) + static_cast<std::size_t>(tile) - 1) /
-      static_cast<std::size_t>(tile);
-  // A pool chunk [b, e) of tiles maps to the contiguous z-slab range
-  // [b*tile, min(nz, e*tile)); tiles partition z, so writes are disjoint.
-  pool_->parallelForChunked(numTiles, [&](std::size_t b, std::size_t e) {
-    fn(static_cast<int>(b) * tile,
-       std::min(nz, static_cast<int>(e) * tile));
-  });
-}
-
-template <typename T>
-void Simulation<T>::forEachBoundaryRange(
-    const std::function<void(std::int64_t, std::int64_t)>& fn) {
-  const auto numB = static_cast<std::int64_t>(grid_->boundaryPoints());
-  if (!pool_) {
-    fn(0, numB);
-    return;
-  }
-  // boundaryIndices holds unique cells, so index ranges scatter to disjoint
-  // cells (and disjoint g1/v1 rows for FD-MM): race-free by construction.
-  pool_->parallelForChunked(
-      static_cast<std::size_t>(numB), [&](std::size_t b, std::size_t e) {
-        fn(static_cast<std::int64_t>(b), static_cast<std::int64_t>(e));
-      });
-}
-
-template <typename T>
-void Simulation<T>::forEachRunRange(
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  const std::size_t numRuns = grid_->interiorRuns.runs();
-  if (!pool_) {
-    fn(0, numRuns);
-    return;
-  }
-  // Runs are disjoint cell ranges, so a chunked partition of the run list
-  // writes disjoint cells: race-free and bit-identical to the serial scan.
-  pool_->parallelForChunked(numRuns,
-                            [&](std::size_t b, std::size_t e) { fn(b, e); });
-}
-
-template <typename T>
-void Simulation<T>::stepVolume(T l, T l2) {
-  const int nx = grid_->nx;
-  const int ny = grid_->ny;
-  const bool fused = config_.model == BoundaryModel::FusedFi;
-
-  if (config_.params.volumePath == VolumePath::Runs) {
-    // Interior-run plan: branch-free vectorizable loops over the nbr==6
-    // runs, then the residual boundary-adjacent cells with the per-cell
-    // formula of the lookup kernel this path replaces. Interior and
-    // residual cells are disjoint and both read only prev/curr, so the
-    // two passes commute with each other and with any partition.
-    const auto& plan = grid_->interiorRuns;
-    forEachRunRange([&](std::size_t r0, std::size_t r1) {
-      refVolumeRunsRange(plan.runBegin.data(), plan.runLen.data(), r0, r1,
-                         prev_, curr_, next_, nx, ny, l2);
-    });
-    if (fused) {
-      forEachBoundaryRange([&](std::int64_t i0, std::int64_t i1) {
-        refFusedFiResidualRange(grid_->boundaryIndices.data(),
-                                grid_->boundaryNbr.data(), i0, i1, prev_,
-                                curr_, next_, nx, ny, l, l2, beta_[0]);
-      });
-    } else {
-      forEachBoundaryRange([&](std::int64_t i0, std::int64_t i1) {
-        refVolumeResidualRange(grid_->boundaryIndices.data(),
-                               grid_->boundaryNbr.data(), i0, i1, prev_,
-                               curr_, next_, nx, ny, l2);
-      });
-    }
-    return;
-  }
-
-  if (fused) {
-    forEachSlab([&](int z0, int z1) {
-      refFusedFiLookupSlab(grid_->nbrs.data(), prev_, curr_, next_, nx, ny, z0,
-                           z1, l, l2, beta_[0]);
-    });
-    return;
-  }
-  forEachSlab([&](int z0, int z1) {
-    refVolumeSlab(grid_->nbrs.data(), prev_, curr_, next_, nx, ny, z0, z1, l2);
-  });
+  return pool_->threadCount();
 }
 
 template <typename T>
@@ -253,99 +160,13 @@ void Simulation<T>::runBoundarySlots(std::int64_t j0, std::int64_t j1,
 }
 
 template <typename T>
-void Simulation<T>::stepBoundary(T l, std::int64_t numB) {
-  if (!launches_.empty()) {
-    // Classes path: partition the slot space of the class-major sorted
-    // layout instead of the original boundary order.
-    forEachBoundaryRange([&](std::int64_t j0, std::int64_t j1) {
-      runBoundarySlots(j0, j1, prev_, next_, v1_, v2_, l);
-    });
-    if (config_.model == BoundaryModel::FdMm) std::swap(v1_, v2_);
-    return;
-  }
-  switch (config_.model) {
-    case BoundaryModel::FusedFi:
-      break;  // boundary handling is fused into the volume phase
-
-    case BoundaryModel::FiSplit:
-      forEachBoundaryRange([&](std::int64_t i0, std::int64_t i1) {
-        refFiBoundaryRange(grid_->boundaryIndices.data(), grid_->nbrs.data(),
-                           prev_, next_, i0, i1, l, beta_[0]);
-      });
-      break;
-
-    case BoundaryModel::FiMm:
-      forEachBoundaryRange([&](std::int64_t i0, std::int64_t i1) {
-        refFiMmBoundaryRange(grid_->boundaryIndices.data(), grid_->nbrs.data(),
-                             grid_->material.data(), beta_.data(), prev_,
-                             next_, i0, i1, l);
-      });
-      break;
-
-    case BoundaryModel::FdMm:
-      forEachBoundaryRange([&](std::int64_t i0, std::int64_t i1) {
-        refFdMmBoundaryRange(grid_->boundaryIndices.data(), grid_->nbrs.data(),
-                             grid_->material.data(), beta_.data(), bi_.data(),
-                             d_.data(), di_.data(), f_.data(),
-                             config_.numBranches, prev_, next_, g1_.data(),
-                             v1_, v2_, numB, i0, i1, l);
-      });
-      std::swap(v1_, v2_);
-      break;
-  }
-}
-
-template <typename T>
-void Simulation<T>::stepBarrier() {
-  const T l = static_cast<T>(config_.params.l());
-  const T l2 = static_cast<T>(config_.params.l2());
-  const auto numB = static_cast<std::int64_t>(grid_->boundaryPoints());
-  const bool profiled = profiler_.enabled();
-
-  Timer timer;
-  stepVolume(l, l2);
-  const double volumeMs = profiled ? timer.milliseconds() : 0.0;
-
-  timer.reset();
-  stepBoundary(l, numB);
-  // The fused model has no boundary kernel; don't let timer overhead show
-  // up as a phantom boundary share.
-  const double boundaryMs =
-      profiled && config_.model != BoundaryModel::FusedFi
-          ? timer.milliseconds()
-          : 0.0;
-
-  if (profiled) profiler_.recordStep(volumeMs, boundaryMs, grid_->cells());
-
-  // Rotate pressure buffers: prev <- curr <- next <- (old prev storage).
-  T* oldPrev = prev_;
-  prev_ = curr_;
-  curr_ = next_;
-  next_ = oldPrev;
-  ++steps_;
-}
-
-template <typename T>
 void Simulation<T>::step() {
-  if (usingTaskGraph()) {
-    runTaskGraph(1, nullptr, nullptr, 0, nullptr);
-  } else {
-    stepBarrier();
-  }
+  runTaskGraph(1, nullptr, nullptr, 0, nullptr);
 }
 
 template <typename T>
 int Simulation<T>::run(int steps, const std::atomic<bool>* cancel) {
-  if (steps <= 0) return 0;
-  if (usingTaskGraph()) {
-    return runTaskGraph(steps, nullptr, nullptr, 0, cancel);
-  }
-  int done = 0;
-  for (; done < steps; ++done) {
-    if (cancel && cancel->load(std::memory_order_relaxed)) break;
-    stepBarrier();
-  }
-  return done;
+  return runTaskGraph(steps, nullptr, nullptr, 0, cancel);
 }
 
 template <typename T>
@@ -357,9 +178,14 @@ void Simulation<T>::ensureStepGraph(int steps,
     return;
   }
   static const std::vector<std::size_t> kNoReceivers;
+  // Slabs exist to overlap work across threads. A worker-less pool runs
+  // each phase as one whole-grid task, so its step pays no more dispatch or
+  // profiling overhead than a plain serial loop.
+  const int tileZ =
+      pool_->threadCount() > 1 ? config_.params.tileZ : grid_->nz;
   graphSpec_ = std::make_unique<StepGraphSpec>(StepGraphSpec::build(
-      *grid_, config_.model, config_.params.volumePath, config_.params.tileZ,
-      config_.numBranches, steps, hasRecv ? *recvIdx : kNoReceivers));
+      *grid_, config_.model, tileZ, config_.numBranches, steps,
+      hasRecv ? *recvIdx : kNoReceivers));
   stepGraph_ = std::make_unique<TaskGraph>();
   for (std::size_t ti = 0; ti < graphSpec_->tasks.size(); ++ti) {
     stepGraph_->add([this, ti] { runGraphTask(ti); });
@@ -407,78 +233,45 @@ void Simulation<T>::runGraphTask(std::size_t ti) {
 
   switch (t.phase) {
     case StepTaskSpec::Phase::Volume: {
-      if (config_.params.volumePath == VolumePath::Runs) {
-        const auto& plan = grid_->interiorRuns;
-        refVolumeRunsRange(plan.runBegin.data(), plan.runLen.data(), t.run0,
-                           t.run1, prev, curr, next, nx, ny, l2);
-        if (t.b0 < t.b1) {
-          if (fused) {
-            refFusedFiResidualRange(grid_->boundaryIndices.data(),
-                                    grid_->boundaryNbr.data(), t.b0, t.b1,
-                                    prev, curr, next, nx, ny, l, l2, beta_[0]);
-          } else {
-            refVolumeResidualRange(grid_->boundaryIndices.data(),
-                                   grid_->boundaryNbr.data(), t.b0, t.b1,
-                                   prev, curr, next, nx, ny, l2);
-          }
+      // Interior-run plan: branch-free vectorizable loops over the slab's
+      // nbr==6 runs, then its residual boundary-adjacent cells with the
+      // per-cell formula of the listing's lookup kernel. Interior and
+      // residual cells are disjoint and both read only prev/curr.
+      const auto& plan = grid_->interiorRuns;
+      refVolumeRunsRange(plan.runBegin.data(), plan.runLen.data(), t.run0,
+                         t.run1, prev, curr, next, nx, ny, l2);
+      if (t.b0 < t.b1) {
+        if (fused) {
+          refFusedFiResidualRange(grid_->boundaryIndices.data(),
+                                  grid_->boundaryNbr.data(), t.b0, t.b1, prev,
+                                  curr, next, nx, ny, l, l2, beta_[0]);
+        } else {
+          refVolumeResidualRange(grid_->boundaryIndices.data(),
+                                 grid_->boundaryNbr.data(), t.b0, t.b1, prev,
+                                 curr, next, nx, ny, l2);
         }
-      } else if (fused) {
-        refFusedFiLookupSlab(grid_->nbrs.data(), prev, curr, next, nx, ny,
-                             t.z0, t.z1, l, l2, beta_[0]);
-      } else {
-        refVolumeSlab(grid_->nbrs.data(), prev, curr, next, nx, ny, t.z0,
-                      t.z1, l2);
       }
       break;
     }
     case StepTaskSpec::Phase::Boundary: {
-      if (!launches_.empty()) {
-        // Classes path: dispatch this slab's boundary points through the
-        // per-class kernels via the spec's slab-class slot table. Same
-        // point set as the Flat ranges [b0, b1) — the table rows partition
-        // it by class — so the declared access hull still covers it.
-        T* v1 = nullptr;
-        const T* v2 = nullptr;
-        if (config_.model == BoundaryModel::FdMm) {
-          v1 = batchVel_[StepGraphSpec::velocityWritePhys(k)];
-          v2 = batchVel_[1 - StepGraphSpec::velocityWritePhys(k)];
-        }
-        const auto& S = graphSpec_->slabClassSlot;
-        const std::size_t row =
-            static_cast<std::size_t>(t.slab) * kNumBoundaryClasses;
-        for (int c = 0; c < kNumBoundaryClasses; ++c) {
-          runBoundarySlots(S[row + static_cast<std::size_t>(c)],
-                           S[row + kNumBoundaryClasses +
-                             static_cast<std::size_t>(c)],
-                           prev, next, v1, v2, l);
-        }
-        break;
+      // This slab's boundary points through the per-class kernels, via the
+      // spec's slab-class slot table. Same point set as [b0, b1) — the
+      // table rows partition it by class — so the declared access hull
+      // covers it.
+      T* v1 = nullptr;
+      const T* v2 = nullptr;
+      if (config_.model == BoundaryModel::FdMm) {
+        v1 = batchVel_[StepGraphSpec::velocityWritePhys(k)];
+        v2 = batchVel_[1 - StepGraphSpec::velocityWritePhys(k)];
       }
-      switch (config_.model) {
-        case BoundaryModel::FusedFi:
-          break;  // never planned
-        case BoundaryModel::FiSplit:
-          refFiBoundaryRange(grid_->boundaryIndices.data(),
-                             grid_->nbrs.data(), prev, next, t.b0, t.b1, l,
-                             beta_[0]);
-          break;
-        case BoundaryModel::FiMm:
-          refFiMmBoundaryRange(grid_->boundaryIndices.data(),
-                               grid_->nbrs.data(), grid_->material.data(),
-                               beta_.data(), prev, next, t.b0, t.b1, l);
-          break;
-        case BoundaryModel::FdMm: {
-          T* v1 = batchVel_[StepGraphSpec::velocityWritePhys(k)];
-          const T* v2 = batchVel_[1 - StepGraphSpec::velocityWritePhys(k)];
-          refFdMmBoundaryRange(
-              grid_->boundaryIndices.data(), grid_->nbrs.data(),
-              grid_->material.data(), beta_.data(), bi_.data(), d_.data(),
-              di_.data(), f_.data(), config_.numBranches, prev, next,
-              g1_.data(), v1, v2,
-              static_cast<std::int64_t>(grid_->boundaryPoints()), t.b0, t.b1,
-              l);
-          break;
-        }
+      const auto& S = graphSpec_->slabClassSlot;
+      const std::size_t row =
+          static_cast<std::size_t>(t.slab) * kNumBoundaryClasses;
+      for (int c = 0; c < kNumBoundaryClasses; ++c) {
+        runBoundarySlots(
+            S[row + static_cast<std::size_t>(c)],
+            S[row + kNumBoundaryClasses + static_cast<std::size_t>(c)], prev,
+            next, v1, v2, l);
       }
       break;
     }
@@ -606,18 +399,7 @@ int Simulation<T>::record(int steps, const std::vector<Receiver>& receivers,
     indices.push_back(config_.room.index(r.x, r.y, r.z));
   }
   out.assign(receivers.size(), std::vector<T>(static_cast<std::size_t>(steps)));
-  int done = 0;
-  if (usingTaskGraph()) {
-    done = runTaskGraph(steps, &indices, &out, 0, cancel);
-  } else {
-    for (; done < steps; ++done) {
-      if (cancel && cancel->load(std::memory_order_relaxed)) break;
-      stepBarrier();
-      for (std::size_t r = 0; r < indices.size(); ++r) {
-        out[r][static_cast<std::size_t>(done)] = curr_[indices[r]];
-      }
-    }
-  }
+  const int done = runTaskGraph(steps, &indices, &out, 0, cancel);
   if (done < steps) {
     for (auto& trace : out) trace.resize(static_cast<std::size_t>(done));
   }

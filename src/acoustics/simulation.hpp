@@ -71,18 +71,16 @@ public:
   /// inside the room.
   void addImpulse(int x, int y, int z, T amplitude);
 
-  /// Advances one time step (volume kernel + boundary kernel, per model).
-  /// Routed through the task-graph stepper when one is active; a single
-  /// step has no cross-step pipelining but the same schedule semantics.
+  /// Advances one time step (volume kernel + boundary kernel, per model):
+  /// a one-step batch of the task graph, so no cross-step pipelining.
   void step();
 
-  /// Advances up to `steps` steps. Under the task-graph stepper the steps
-  /// of a batch pipeline across the pool; otherwise this is a step() loop.
-  /// If `cancel` is non-null and becomes true, stepping stops at a step
-  /// boundary — at task granularity under the task graph: tasks of steps
-  /// past the cutoff become no-ops while the in-flight graph drains — and
-  /// the number of fully completed steps is returned (== `steps` when never
-  /// cancelled). The state always lands exactly on the returned step.
+  /// Advances up to `steps` steps; the steps of a batch pipeline across
+  /// the pool. If `cancel` is non-null and becomes true, stepping stops at
+  /// a step boundary — at task granularity: tasks of steps past the cutoff
+  /// become no-ops while the in-flight graph drains — and the number of
+  /// fully completed steps is returned (== `steps` when never cancelled).
+  /// The state always lands exactly on the returned step.
   int run(int steps, const std::atomic<bool>* cancel = nullptr);
 
   /// Runs `steps` steps recording the pressure at (x,y,z) after each —
@@ -111,11 +109,11 @@ public:
   int stepsTaken() const { return steps_; }
 
   /// Number of threads the stepper actually uses (resolved from
-  /// params.threads; 1 means the fully serial path).
+  /// params.threads; 1 means the graph runs serially on the caller).
   std::size_t threadsUsed() const;
 
-  /// Opt-in per-kernel instrumentation: when enabled, every step() records
-  /// its volume/boundary wall time into profile().
+  /// Opt-in per-kernel instrumentation: when enabled, every step records
+  /// its volume/boundary task CPU time and its wall time into profile().
   void enableProfiling(bool on = true) { profiler_.setEnabled(on); }
   const StepProfiler& profile() const { return profiler_; }
   StepProfiler& profile() { return profiler_; }
@@ -147,32 +145,15 @@ public:
   void setStepsTaken(int steps) { steps_ = steps; }
 
 private:
-  /// Runs fn(z0, z1) over a partition of [0, nz) in tileZ-slab tiles,
-  /// across the pool when parallel (one full range call when serial).
-  void forEachSlab(const std::function<void(int, int)>& fn);
-  /// Runs fn(i0, i1) over a partition of [0, boundaryPoints()).
-  void forEachBoundaryRange(
-      const std::function<void(std::int64_t, std::int64_t)>& fn);
-  /// Runs fn(r0, r1) over a partition of [0, interiorRuns.runs()). Runs
-  /// write disjoint cells, so any partition is bit-identical to serial.
-  void forEachRunRange(const std::function<void(std::size_t, std::size_t)>& fn);
-  void stepVolume(T l, T l2);
-  void stepBoundary(T l, std::int64_t numB);
-  /// Classes-path boundary dispatch: executes slot range [j0, j1) of the
-  /// class-major sorted layout by walking the overlapping launches and
-  /// calling the per-class (uniform-nbr) or mixed-fallback kernel of the
-  /// active model. Disjoint slot ranges write disjoint cells (cellSorted is
-  /// a permutation of the boundary set), so any partition is race-free and
-  /// bit-identical to the Flat path.
+  /// Boundary dispatch: executes slot range [j0, j1) of the class-major
+  /// sorted layout by walking the overlapping launches and calling the
+  /// per-class (uniform-nbr) or mixed-fallback kernel of the active model.
+  /// Disjoint slot ranges write disjoint cells (cellSorted is a permutation
+  /// of the boundary set), so any partition is race-free and bit-identical
+  /// to the listings' kernels over the original boundary order.
   void runBoundarySlots(std::int64_t j0, std::int64_t j1, const T* prev,
                         T* next, T* v1, const T* v2, T l);
-  /// Legacy barriered step (two parallelForChunked dispatches + rotation).
-  void stepBarrier();
 
-  /// True when stepping goes through the dependency task graph.
-  bool usingTaskGraph() const {
-    return pool_ != nullptr && config_.params.stepper == StepperKind::TaskGraph;
-  }
   /// (Re)builds the cached batch graph for `steps` steps and the given
   /// receiver set (nullptr = none).
   void ensureStepGraph(int steps, const std::vector<std::size_t>* recvIdx);
@@ -188,11 +169,11 @@ private:
   /// Shared immutable grid from the voxelization cache: repeated configs
   /// (bench sweeps) reuse one grid + interior-run plan.
   std::shared_ptr<const RoomGrid> grid_;
-  ThreadPool* pool_ = nullptr;  // null when serial (threads == 1)
+  ThreadPool* pool_ = nullptr;  // the stepping pool; never null
   std::unique_ptr<ThreadPool> ownedPool_;
   StepProfiler profiler_;
-  /// Classes-path boundary launch plan (empty on the Flat path or for the
-  /// fused model), derived from the grid's BoundaryClassPlan at
+  /// Boundary launch plan (empty for the fused model or a grid without
+  /// boundary points), derived from the grid's BoundaryClassPlan at
   /// construction via planBoundaryLaunches.
   std::vector<BoundaryLaunch> launches_;
   std::vector<Material> materials_;

@@ -32,8 +32,7 @@ struct RecordingBuilder {
 }  // namespace
 
 StepGraphSpec StepGraphSpec::build(const RoomGrid& grid, BoundaryModel model,
-                                   VolumePath path, int tileZ, int numBranches,
-                                   int steps,
+                                   int tileZ, int numBranches, int steps,
                                    const std::vector<std::size_t>& receiverIdx) {
   LIFTA_CHECK(steps >= 1, "StepGraphSpec: need at least one step");
   LIFTA_CHECK(tileZ >= 1, "StepGraphSpec: tileZ must be >= 1");
@@ -126,14 +125,10 @@ StepGraphSpec StepGraphSpec::build(const RoomGrid& grid, BoundaryModel model,
       t.phase = StepTaskSpec::Phase::Volume;
       t.step = k;
       t.slab = s;
-      t.z0 = z0;
-      t.z1 = z1;
-      if (path == VolumePath::Runs) {
-        t.run0 = runLowerBound(static_cast<std::int64_t>(z0) * plane);
-        t.run1 = runLowerBound(static_cast<std::int64_t>(z1) * plane);
-        t.b0 = boundaryLowerBound(static_cast<std::int64_t>(z0) * plane);
-        t.b1 = boundaryLowerBound(static_cast<std::int64_t>(z1) * plane);
-      }
+      t.run0 = runLowerBound(static_cast<std::int64_t>(z0) * plane);
+      t.run1 = runLowerBound(static_cast<std::int64_t>(z1) * plane);
+      t.b0 = boundaryLowerBound(static_cast<std::int64_t>(z0) * plane);
+      t.b1 = boundaryLowerBound(static_cast<std::int64_t>(z1) * plane);
       const auto id =
           static_cast<AccessDagBuilder::TaskId>(spec.tasks.size());
       spec.tasks.push_back(t);
@@ -163,8 +158,6 @@ StepGraphSpec StepGraphSpec::build(const RoomGrid& grid, BoundaryModel model,
         t.phase = StepTaskSpec::Phase::Boundary;
         t.step = k;
         t.slab = s;
-        t.z0 = z0;
-        t.z1 = z1;
         t.b0 = i0;
         t.b1 = i1;
         const auto id =

@@ -7,8 +7,7 @@
 // lint) — never hand-written. Because the volume stencil reads `curr` only
 // at z +/- 1 and the boundary kernels touch only their own cells, the derived
 // graph lets step t+1's interior slabs start while step t's boundary tasks
-// are still finishing, instead of the two global barriers per step the
-// chunked stepper paid.
+// are still finishing, instead of two global barriers per step.
 //
 // Buffer rotation is folded into the plan: pressure buffers are addressed as
 // three physical arrays whose prev/curr/next roles rotate with period 3 over
@@ -16,11 +15,12 @@
 // and hence no barrier — is needed between steps. Everything here is
 // element-type independent; Simulation<T> attaches the typed kernel bodies.
 //
-// Bit-identity with the serial stepper holds by construction: every cell is
-// written by exactly one task per step with the identical per-cell arithmetic
-// in the identical order, tasks only commute when they touch disjoint cells,
+// Bit-identity with the listings' whole-grid kernels holds by construction:
+// every cell is written by exactly one task per step with the identical
+// per-cell arithmetic, tasks only commute when they touch disjoint cells,
 // and every read-after-write, write-after-read and write-after-write pair is
-// ordered by a derived edge (lintTaskAccesses verifies this in tests).
+// ordered by a derived edge (lintTaskAccesses verifies this in tests). A
+// worker-less pool runs the same graph serially in creation order.
 #pragma once
 
 #include <cstdint>
@@ -35,17 +35,16 @@ namespace lifta::acoustics {
 struct StepTaskSpec {
   enum class Phase {
     Volume,    // interior runs + residual boundary cells of one slab
-               // (or the slab lookup kernel; fused-FI included)
-    Boundary,  // boundary-model kernel over one slab's boundary points
+               // (fused-FI boundary handling included)
+    Boundary,  // per-class boundary kernels over one slab's boundary points
     Sample,    // record every receiver for one completed step
   };
 
   Phase phase = Phase::Volume;
   int step = 0;   // batch-relative time step, 0-based
   int slab = -1;  // -1 for Sample
-  int z0 = 0, z1 = 0;                  // slab z-range (Volume)
-  std::size_t run0 = 0, run1 = 0;      // interior-run subrange (Runs path)
-  std::int64_t b0 = 0, b1 = 0;         // boundary-point subrange
+  std::size_t run0 = 0, run1 = 0;  // interior-run subrange (Volume)
+  std::int64_t b0 = 0, b1 = 0;     // boundary-point subrange
 };
 
 /// The plan for one batch: task list (creation order == TaskGraph ids ==
@@ -59,7 +58,7 @@ struct StepGraphSpec {
   std::vector<analysis::TaskAccessRecord> accesses;
   std::vector<std::string> bufferNames;
 
-  /// Per-slab class-slot table for the Classes boundary path: entry
+  /// Per-slab class-slot table for the boundary tasks: entry
   /// [s * kNumBoundaryClasses + c] is the first slot of class c whose cell
   /// lies at or above slab s's first plane, and row `slabs` holds the class
   /// ends, so slab s's class-c slots are rows s..s+1. Boundary tasks stay
@@ -67,7 +66,7 @@ struct StepGraphSpec {
   /// classes of one slab interleave in cell space, so their conservative
   /// interval hulls overlap and the derived edges would serialize the split
   /// tasks anyway — but the task *body* dispatches per-class branch-free
-  /// kernels over these ranges. Graph shape and edges are path-independent.
+  /// kernels over these ranges.
   std::vector<std::int32_t> slabClassSlot;
 
   /// Physical pressure-buffer index holding `role` (0 prev, 1 curr, 2 next)
@@ -80,8 +79,7 @@ struct StepGraphSpec {
   static int velocityWritePhys(int k) { return k % 2; }
 
   static StepGraphSpec build(const RoomGrid& grid, BoundaryModel model,
-                             VolumePath path, int tileZ, int numBranches,
-                             int steps,
+                             int tileZ, int numBranches, int steps,
                              const std::vector<std::size_t>& receiverIdx);
 };
 

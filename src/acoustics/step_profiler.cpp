@@ -4,14 +4,6 @@
 
 namespace lifta::acoustics {
 
-void StepProfiler::recordStep(double volumeMs, double boundaryMs,
-                              std::size_t cells) {
-  volumeMs_.push_back(volumeMs);
-  boundaryMs_.push_back(boundaryMs);
-  stepWallMs_.push_back(volumeMs + boundaryMs);
-  cellsPerStep_ = cells;
-}
-
 void StepProfiler::recordStepTasked(double volumeCpuMs, double boundaryCpuMs,
                                     std::size_t cells, double wallMs) {
   volumeMs_.push_back(volumeCpuMs);

@@ -1,11 +1,11 @@
 // Opt-in per-kernel instrumentation of the reference stepper (Fig. 2, §III).
 //
 // When enabled, the stepper records per-step volume/boundary attribution and
-// per-step wall time here. The barrier/serial stepper times the two phases
-// back to back (attribution == wall); the task-graph stepper accumulates
-// per-task thread-CPU time per phase — wall intervals stop meaning anything
-// once tasks from adjacent pipelined steps overlap on the cores — and
-// divides the batch wall time evenly over its steps. The profiler keeps the
+// per-step wall time here. It accumulates per-task thread-CPU time per
+// phase — wall intervals stop meaning anything once tasks from adjacent
+// pipelined steps overlap on the cores — and divides the batch wall time
+// evenly over its steps; at one thread the two phases' CPU time adds up to
+// the step's wall time (less scheduling overhead). The profiler keeps the
 // raw per-step samples so the paper's quantities — median kernel time,
 // boundary share of a step, sustained cell updates per second — and a
 // distribution histogram can all be derived from the same instrumentation,
@@ -28,13 +28,7 @@ public:
   bool enabled() const { return enabled_; }
   void setEnabled(bool on) { enabled_ = on; }
 
-  /// Called by the barrier/serial stepper once per step (only when
-  /// enabled): the two phases ran back to back on the submitting thread, so
-  /// their wall times are also their attribution and the step's wall time
-  /// is their sum.
-  void recordStep(double volumeMs, double boundaryMs, std::size_t cells);
-
-  /// Called by the task-graph stepper once per completed step of a batch.
+  /// Called by the stepper once per completed step of a batch.
   /// volume/boundary are per-phase *CPU* time summed over the step's tasks
   /// (wall intervals would double-count once tasks from adjacent pipelined
   /// steps overlap on the cores); wallMs is the step's share of the batch
@@ -57,9 +51,8 @@ public:
 
   /// Share of total step *work* spent in boundary handling, in [0, 1]
   /// (the quantity Fig. 2 plots as a percentage). Computed from the
-  /// per-phase attribution samples, so it stays truthful whether those came
-  /// from back-to-back wall intervals (serial/barrier) or per-task CPU time
-  /// (task graph). 0 when nothing recorded.
+  /// per-phase CPU attribution samples, so it stays truthful when steps
+  /// overlap on the cores. 0 when nothing recorded.
   double boundaryFraction() const;
 
   /// Sustained grid-cell updates per second over all recorded steps.
@@ -79,8 +72,8 @@ private:
   std::string stepHistogramRender() const;
 
   bool enabled_ = false;
-  /// Per-phase attribution samples (wall for the barrier stepper, CPU for
-  /// the task-graph stepper) and the per-step wall time alongside.
+  /// Per-phase CPU attribution samples and the per-step wall time
+  /// alongside.
   std::vector<double> volumeMs_;
   std::vector<double> boundaryMs_;
   std::vector<double> stepWallMs_;

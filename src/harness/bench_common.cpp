@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <thread>
 
 #include "acoustics/materials.hpp"
 #include "acoustics/reference_kernels.hpp"
 #include "acoustics/sim_params.hpp"
 #include "codegen/kernel_codegen.hpp"
+#include "common/json_writer.hpp"
 #include "common/stats.hpp"
 #include "common/string_util.hpp"
 #include "harness/table.hpp"
@@ -164,6 +166,51 @@ std::string renderClassBreakdown(
          strformat("%.1f%%", totalMs > 0.0 ? 100.0 * r.ms / totalMs : 0.0)});
   }
   return table.render();
+}
+
+Gate makeGate(const std::string& name, double value, double target,
+              const std::string& skipReason) {
+  return {name, value, target, value >= target, !skipReason.empty(),
+          skipReason};
+}
+
+std::string fewCoresSkipReason() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw >= 4 ? ""
+                 : strformat("hardware_concurrency=%u < 4 at measurement time",
+                             hw);
+}
+
+void printGates(const std::vector<Gate>& gates) {
+  std::printf("perf gates:\n");
+  bool anyFailed = false;
+  for (const auto& g : gates) {
+    if (g.skipped) {
+      std::printf("  [skip] %-32s %.2f (target %.2f) — %s\n", g.name.c_str(),
+                  g.value, g.target, g.reason.c_str());
+    } else {
+      std::printf("  [%s] %-32s %.2f (target %.2f)\n",
+                  g.met ? "pass" : "FAIL", g.name.c_str(), g.value, g.target);
+      anyFailed = anyFailed || !g.met;
+    }
+  }
+  std::printf("%s\n", anyFailed ? "one or more enforced gates FAILED"
+                                : "all enforced gates pass");
+}
+
+void writeGates(JsonWriter& json, const std::vector<Gate>& gates) {
+  json.key("gates").beginArray();
+  for (const auto& g : gates) {
+    json.beginObject()
+        .field("name", g.name)
+        .field("value", g.value, 4)
+        .field("target", g.target, 2)
+        .field("met", g.met)
+        .field("skipped", g.skipped)
+        .field("reason", g.reason)
+        .endObject();
+  }
+  json.endArray();
 }
 
 const char* parityVerdict(double liftOverOpenclRatio) {

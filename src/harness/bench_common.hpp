@@ -12,6 +12,10 @@
 #include "common/cli.hpp"
 #include "ocl/device.hpp"
 
+namespace lifta {
+class JsonWriter;
+}
+
 namespace lifta::harness {
 
 struct BenchOptions {
@@ -88,5 +92,35 @@ std::vector<BoundaryClassTiming> fdmmClassBreakdown(
 /// Renders the fdmmClassBreakdown rows as a table (class, nbr, points, ms,
 /// share).
 std::string renderClassBreakdown(const std::vector<BoundaryClassTiming>& rows);
+
+/// An explicit perf gate, met when value >= target. Benches write their
+/// gates as the JSON "gates" array of their BENCH_*.json file, and
+/// tools/check_gates.py fails CI on any gate with `met == false` unless
+/// `skipped` says why the measurement is not meaningful on this machine —
+/// so a missed target can never pass silently.
+struct Gate {
+  std::string name;
+  double value = 0.0;
+  double target = 0.0;
+  bool met = false;
+  bool skipped = false;
+  std::string reason;
+};
+
+/// A gate on `value >= target`; a non-empty `skipReason` marks it skipped.
+Gate makeGate(const std::string& name, double value, double target,
+              const std::string& skipReason = "");
+
+/// Skip reason for timing-ratio gates measured on fewer than 4 hardware
+/// threads ("" on 4 or more): on small shared runners thread scaling is
+/// meaningless and serial ratios swing too wide to enforce.
+std::string fewCoresSkipReason();
+
+/// Prints one status line per gate and a summary line.
+void printGates(const std::vector<Gate>& gates);
+
+/// Writes `"gates": [...]` (name, value, target, met, skipped, reason) into
+/// the currently open JSON object.
+void writeGates(JsonWriter& json, const std::vector<Gate>& gates);
 
 }  // namespace lifta::harness

@@ -15,26 +15,11 @@
 #include "acoustics/materials.hpp"
 #include "acoustics/sim_params.hpp"
 #include "host/host_program.hpp"
+#include "lift_acoustics/kernel_tier.hpp"
 
 namespace lifta::lift_acoustics {
 
 enum class DeviceModel { FiMm, FdMm };
-
-/// Which compiled form of the generated kernels a simulation runs
-/// (DESIGN.md §12). All three produce bit-identical output: specialization
-/// only bakes the scalars the host would have bound into index algebra and
-/// literal coefficients, never changing data arithmetic.
-enum class KernelTier {
-  /// Generic kernels only (runtime scalar arguments) — the baseline.
-  Generic,
-  /// Constant-specialized kernels, compiled synchronously up front: lowest
-  /// steady-state step time, highest construction latency.
-  Specialized,
-  /// Tier-0 generic kernels run immediately; a background thread compiles
-  /// the specialized variants and step() hot-swaps each kernel at a step
-  /// boundary once its build is ready.
-  Tiered,
-};
 
 /// How the device tier schedules the boundary phase.
 enum class BoundarySchedule {

@@ -587,17 +587,7 @@ lift_acoustics::DeviceSimulation::Config deviceConfigFromSpec(
                       ? ir::ScalarKind::Float
                       : ir::ScalarKind::Double;
   cfg.materials = spec.materials;
-  switch (spec.deviceKernelTier) {
-    case DeviceKernelTier::Generic:
-      cfg.kernelTier = lift_acoustics::KernelTier::Generic;
-      break;
-    case DeviceKernelTier::Specialized:
-      cfg.kernelTier = lift_acoustics::KernelTier::Specialized;
-      break;
-    case DeviceKernelTier::Tiered:
-      cfg.kernelTier = lift_acoustics::KernelTier::Tiered;
-      break;
-  }
+  cfg.kernelTier = spec.deviceKernelTier;
   return cfg;
 }
 

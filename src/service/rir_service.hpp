@@ -40,6 +40,7 @@
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "ism/ism_engine.hpp"
+#include "lift_acoustics/kernel_tier.hpp"
 
 namespace lifta::ocl {
 class Context;
@@ -55,13 +56,8 @@ enum class JobTier {
 
 enum class JobPrecision { Float32, Float64 };
 
-/// Device-tier kernel tiering (DESIGN.md §12); mirrors
-/// lift_acoustics::KernelTier without pulling that header in here.
-/// Generic runs the shape-agnostic kernels; Specialized blocks on the
-/// constant-specialized build before the first step; Tiered starts on the
-/// generic kernels and hot-swaps at a step boundary once the background
-/// build lands. All three produce bit-identical traces.
-enum class DeviceKernelTier { Generic, Specialized, Tiered };
+/// Device-tier kernel tiering (DESIGN.md §12).
+using DeviceKernelTier = lift_acoustics::KernelTier;
 
 /// Which physical engine produces the impulse response.
 enum class Fidelity {

@@ -1,13 +1,17 @@
 // Physics and cross-model equivalence tests of the reference simulation:
-// stability, boundary absorption, and the structural equalities the paper
+// stability, boundary absorption, the structural equalities the paper
 // relies on (fused == two-kernel; FI-MM with one material == FI; FD-MM with
-// inert branches == FI-MM).
+// inert branches == FI-MM), and the stepper's bit-identity with the
+// listings' whole-grid kernels across shapes, threads, tileZ, launch plans
+// and precisions.
 #include "acoustics/simulation.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
+#include <string>
+
+#include "listing_oracle.hpp"
 
 namespace lifta::acoustics {
 namespace {
@@ -246,76 +250,17 @@ TEST(Simulation, UnstableCourantRejected) {
   EXPECT_THROW(Simulation<double> sim(cfg), Error);
 }
 
-template <typename T>
-std::vector<T> runThreaded(BoundaryModel model, int threads, int tileZ,
-                           VolumePath path = VolumePath::Runs) {
-  const bool fd = model == BoundaryModel::FdMm;
-  auto cfg = smallBox<T>(model, fd ? 2 : 1, fd ? 2 : 0);
-  cfg.params.threads = threads;
-  cfg.params.tileZ = tileZ;
-  cfg.params.volumePath = path;
-  Simulation<T> sim(cfg);
-  sim.addImpulse(10, 9, 7, T(1.0));
-  sim.addImpulse(5, 5, 5, T(-0.25));
-  return sim.record(120, 6, 6, 6);
-}
+// The stepper against the listing oracle (listing_oracle.hpp): its
+// interior-run volume and topology-class boundary kernels, scheduled as a
+// task graph, must reproduce the listings' lookup volume and flat boundary
+// kernels bit-for-bit. Together with
+// StepGraph.BitIdenticalToSerialAcrossModelsShapesThreads (box and L-shape)
+// these cover 4 models x {box, L-shape, dome, cylinder} x {1, 3, 8}
+// threads, the tileZ and launch-plan axes, and both precisions.
 
 template <typename T>
-std::vector<T> runShaped(RoomShape shape, BoundaryModel model,
-                         VolumePath path, int threads) {
-  const bool fd = model == BoundaryModel::FdMm;
-  typename Simulation<T>::Config cfg;
-  cfg.room = Room{shape, 20, 17, 13};
-  cfg.model = model;
-  cfg.numMaterials = fd ? 2 : 1;
-  cfg.numBranches = fd ? 2 : 0;
-  cfg.params.threads = threads;
-  cfg.params.volumePath = path;
-  Simulation<T> sim(cfg);
-  sim.addImpulse(10, 8, 6, T(1.0));
-  sim.addImpulse(5, 5, 5, T(-0.25));
-  return sim.record(100, 6, 6, 6);
-}
-
-TEST(Simulation, RunsPathBitIdenticalToLookupAllModelsAllShapes) {
-  // The interior-run plan reorders the volume scan (runs first, residual
-  // boundary cells second) but performs the identical per-cell arithmetic
-  // on disjoint cells, so Runs must reproduce Lookup bit-for-bit for every
-  // model x shape — Dome/LShape/Cylinder fragment the runs — serial and
-  // threaded alike.
-  for (auto shape : {RoomShape::Box, RoomShape::Dome, RoomShape::LShape,
-                     RoomShape::Cylinder}) {
-    for (auto model : {BoundaryModel::FusedFi, BoundaryModel::FiSplit,
-                       BoundaryModel::FiMm, BoundaryModel::FdMm}) {
-      const auto lookup =
-          runShaped<double>(shape, model, VolumePath::Lookup, 1);
-      for (int threads : {1, 3}) {
-        const auto runs =
-            runShaped<double>(shape, model, VolumePath::Runs, threads);
-        ASSERT_EQ(lookup.size(), runs.size());
-        for (std::size_t i = 0; i < lookup.size(); ++i) {
-          ASSERT_EQ(lookup[i], runs[i])
-              << shapeName(shape) << " " << modelName(model)
-              << " threads=" << threads << " step " << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(Simulation, RunsPathBitIdenticalToLookupFloat) {
-  const auto lookup = runShaped<float>(RoomShape::Dome, BoundaryModel::FdMm,
-                                       VolumePath::Lookup, 1);
-  const auto runs =
-      runShaped<float>(RoomShape::Dome, BoundaryModel::FdMm,
-                       VolumePath::Runs, 3);
-  EXPECT_EQ(lookup, runs);
-}
-
-template <typename T>
-std::vector<T> runBoundaryPath(RoomShape shape, BoundaryModel model,
-                               BoundaryPath bpath, int threads,
-                               std::int32_t minPoints = -1) {
+typename Simulation<T>::Config shapedConfig(RoomShape shape,
+                                            BoundaryModel model, int threads) {
   const bool fd = model == BoundaryModel::FdMm;
   const bool mm = fd || model == BoundaryModel::FiMm;
   typename Simulation<T>::Config cfg;
@@ -324,138 +269,124 @@ std::vector<T> runBoundaryPath(RoomShape shape, BoundaryModel model,
   cfg.numMaterials = mm ? 3 : 1;
   cfg.numBranches = fd ? 2 : 0;
   cfg.params.threads = threads;
-  cfg.params.boundaryPath = bpath;
-  if (minPoints >= 0) cfg.params.boundaryFissionMinPoints = minPoints;
-  Simulation<T> sim(cfg);
-  sim.addImpulse(10, 8, 6, T(1.0));
-  sim.addImpulse(5, 5, 5, T(-0.25));
-  return sim.record(80, 6, 6, 6);
+  return cfg;
 }
 
-TEST(Simulation, ClassesBoundaryPathBitIdenticalToFlatAllModelsAllShapes) {
-  // The fissioned boundary path reorders the boundary sweep by topology
-  // class and bakes each class's nbr into the kernel, but every point's
-  // arithmetic is unchanged and boundary writes are disjoint, so Classes
-  // must reproduce the flat fused scatter bit-for-bit for every model x
-  // shape x thread count.
-  for (auto shape : {RoomShape::Box, RoomShape::LShape, RoomShape::Dome}) {
+const std::vector<Impulse> kShapedImpulses = {{10, 8, 6, 1.0},
+                                              {5, 5, 5, -0.25}};
+const std::vector<Receiver> kShapedReceivers = {{6, 6, 6}, {12, 5, 7}};
+
+std::string caseName(RoomShape shape, BoundaryModel model, int threads) {
+  return std::string(shapeName(shape)) + " " + modelName(model) +
+         " threads=" + std::to_string(threads);
+}
+
+TEST(Simulation, RunsPathBitIdenticalToLookupAllModelsAllShapes) {
+  // One thread: the graph runs each phase as one whole-grid task, checking
+  // the run plan and the class launches on every shape's fragmentation.
+  for (auto shape : {RoomShape::Box, RoomShape::Dome, RoomShape::LShape,
+                     RoomShape::Cylinder}) {
     for (auto model : {BoundaryModel::FusedFi, BoundaryModel::FiSplit,
                        BoundaryModel::FiMm, BoundaryModel::FdMm}) {
-      const auto flat =
-          runBoundaryPath<double>(shape, model, BoundaryPath::Flat, 1);
-      for (int threads : {1, 3, 8}) {
-        const auto classes = runBoundaryPath<double>(
-            shape, model, BoundaryPath::Classes, threads);
-        ASSERT_EQ(flat.size(), classes.size());
-        for (std::size_t i = 0; i < flat.size(); ++i) {
-          ASSERT_EQ(flat[i], classes[i])
-              << shapeName(shape) << " " << modelName(model)
-              << " threads=" << threads << " step " << i;
-        }
-      }
+      expectStepperMatchesOracle<double>(
+          shapedConfig<double>(shape, model, 1), kShapedImpulses,
+          kShapedReceivers, 100, caseName(shape, model, 1));
     }
   }
 }
 
-TEST(Simulation, PureFissionBitIdenticalToFlat) {
-  // minPoints = 0 gives one launch per non-empty class (no coalescing, no
-  // fused fallback) — still bit-identical.
-  for (auto model : {BoundaryModel::FiMm, BoundaryModel::FdMm}) {
-    const auto flat =
-        runBoundaryPath<double>(RoomShape::Dome, model, BoundaryPath::Flat, 1);
-    for (int threads : {1, 3}) {
-      const auto fission = runBoundaryPath<double>(
-          RoomShape::Dome, model, BoundaryPath::Classes, threads,
-          /*minPoints=*/0);
-      ASSERT_EQ(flat, fission) << modelName(model) << " threads=" << threads;
-    }
-  }
-}
-
-TEST(Simulation, ClassesBoundaryPathBitIdenticalFloat) {
-  const auto flat = runBoundaryPath<float>(RoomShape::LShape,
-                                           BoundaryModel::FdMm,
-                                           BoundaryPath::Flat, 1);
-  const auto classes = runBoundaryPath<float>(
-      RoomShape::LShape, BoundaryModel::FdMm, BoundaryPath::Classes, 3);
-  EXPECT_EQ(flat, classes);
-}
-
-TEST(Simulation, FdMmBranchStateKeepsFullSetStrideAcrossBoundaryPaths) {
-  // The class kernels index g1/v1/v2 through origPos with the full-set
-  // stride (ci = b*numB + i), so the branch state — not just the pressure
-  // field — must be bit-identical to the flat path's after any number of
-  // steps. The service checkpoint writer serializes these arrays raw;
-  // a per-class or per-launch re-stride would silently corrupt restores.
-  auto mkSim = [](BoundaryPath bpath, std::int32_t minPoints) {
-    Simulation<double>::Config cfg;
-    cfg.room = Room{RoomShape::LShape, 20, 17, 13};
-    cfg.model = BoundaryModel::FdMm;
-    cfg.numMaterials = 3;
-    cfg.numBranches = 3;
-    cfg.params.boundaryPath = bpath;
-    cfg.params.boundaryFissionMinPoints = minPoints;
-    auto sim = std::make_unique<Simulation<double>>(cfg);
-    sim->addImpulse(10, 8, 6, 1.0);
-    sim->run(30);
-    return sim;
-  };
-  const auto flat = mkSim(BoundaryPath::Flat, kBoundaryFissionMinPoints);
-  for (const std::int32_t minPoints : {kBoundaryFissionMinPoints, 0}) {
-    const auto classes = mkSim(BoundaryPath::Classes, minPoints);
-    ASSERT_EQ(flat->fdStateLen(), classes->fdStateLen());
-    for (std::size_t i = 0; i < flat->fdStateLen(); ++i) {
-      ASSERT_EQ(flat->g1()[i], classes->g1()[i])
-          << "g1 @" << i << " minPoints=" << minPoints;
-      ASSERT_EQ(flat->v1()[i], classes->v1()[i])
-          << "v1 @" << i << " minPoints=" << minPoints;
-      ASSERT_EQ(flat->v2()[i], classes->v2()[i])
-          << "v2 @" << i << " minPoints=" << minPoints;
-    }
-    const auto cells = Room{RoomShape::LShape, 20, 17, 13}.cells();
-    for (std::size_t i = 0; i < cells; ++i) {
-      ASSERT_EQ(flat->curr()[i], classes->curr()[i]) << "curr @" << i;
-    }
+TEST(Simulation, RunsPathBitIdenticalToLookupFloat) {
+  for (int threads : {1, 3}) {
+    expectStepperMatchesOracle<float>(
+        shapedConfig<float>(RoomShape::Dome, BoundaryModel::FdMm, threads),
+        kShapedImpulses, kShapedReceivers, 100,
+        caseName(RoomShape::Dome, BoundaryModel::FdMm, threads));
   }
 }
 
 TEST(Simulation, ParallelStepperBitIdenticalToSerialAllModels) {
-  // The parallel path partitions z-slabs / boundary-point ranges without
-  // changing any per-cell arithmetic, so threads=N must reproduce the
-  // threads=1 recording bit-for-bit for every boundary model.
-  for (auto model : {BoundaryModel::FusedFi, BoundaryModel::FiSplit,
-                     BoundaryModel::FiMm, BoundaryModel::FdMm}) {
-    const auto serial = runThreaded<double>(model, 1, 4);
-    for (int threads : {2, 4}) {
-      const auto parallel = runThreaded<double>(model, threads, 4);
-      ASSERT_EQ(serial.size(), parallel.size());
-      for (std::size_t i = 0; i < serial.size(); ++i) {
-        ASSERT_EQ(serial[i], parallel[i])
-            << modelName(model) << " threads=" << threads << " step " << i;
+  // Dome and cylinder fragment both the interior runs and the boundary
+  // classes. The serial side is the listings' whole-grid step loop.
+  for (auto shape : {RoomShape::Dome, RoomShape::Cylinder}) {
+    for (auto model : {BoundaryModel::FusedFi, BoundaryModel::FiSplit,
+                       BoundaryModel::FiMm, BoundaryModel::FdMm}) {
+      for (int threads : {1, 3, 8}) {
+        expectStepperMatchesOracle<double>(
+            shapedConfig<double>(shape, model, threads), kShapedImpulses,
+            kShapedReceivers, 80, caseName(shape, model, threads));
       }
     }
   }
 }
 
 TEST(Simulation, ParallelStepperBitIdenticalAcrossTileSizes) {
-  // tileZ shapes the z-slab partition of the Lookup volume path (the Runs
-  // path partitions runs instead), so pin Lookup here.
-  const auto serial =
-      runThreaded<double>(BoundaryModel::FiMm, 1, 4, VolumePath::Lookup);
-  for (int tileZ : {1, 2, 7, 64}) {
-    const auto tiled = runThreaded<double>(BoundaryModel::FiMm, 4, tileZ,
-                                           VolumePath::Lookup);
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      ASSERT_EQ(serial[i], tiled[i]) << "tileZ=" << tileZ << " step " << i;
+  // tileZ sizes the graph's slabs (on pools with workers), and with them
+  // every task's run and boundary-slot subranges; no value may change a bit.
+  for (auto model : {BoundaryModel::FusedFi, BoundaryModel::FiMm}) {
+    for (int threads : {2, 4}) {
+      for (int tileZ : {1, 2, 7, 64}) {
+        auto cfg = shapedConfig<double>(RoomShape::LShape, model, threads);
+        cfg.params.tileZ = tileZ;
+        expectStepperMatchesOracle<double>(
+            cfg, kShapedImpulses, kShapedReceivers, 60,
+            caseName(RoomShape::LShape, model, threads) +
+                " tileZ=" + std::to_string(tileZ));
+      }
     }
   }
 }
 
 TEST(Simulation, ParallelStepperBitIdenticalToSerialFloat) {
-  const auto serial = runThreaded<float>(BoundaryModel::FdMm, 1, 4);
-  const auto parallel = runThreaded<float>(BoundaryModel::FdMm, 4, 2);
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_EQ(serial[i], parallel[i]) << "step " << i;
+  for (auto model : {BoundaryModel::FusedFi, BoundaryModel::FiSplit,
+                     BoundaryModel::FiMm, BoundaryModel::FdMm}) {
+    for (int threads : {1, 4}) {
+      auto cfg = shapedConfig<float>(RoomShape::Box, model, threads);
+      cfg.params.tileZ = 2;
+      expectStepperMatchesOracle<float>(
+          cfg, kShapedImpulses, kShapedReceivers, 120,
+          caseName(RoomShape::Box, model, threads));
+    }
+  }
+}
+
+TEST(Simulation, PureFissionBitIdenticalToFlat) {
+  // minPoints = 0 gives one launch per non-empty class (no coalescing, no
+  // fused fallback); the default coalesces small classes. Both must match
+  // the flat listing kernels.
+  for (auto model : {BoundaryModel::FiSplit, BoundaryModel::FiMm}) {
+    for (const std::int32_t minPoints : {kBoundaryFissionMinPoints, 0}) {
+      for (int threads : {1, 3}) {
+        auto cfg = shapedConfig<double>(RoomShape::Dome, model, threads);
+        cfg.params.boundaryFissionMinPoints = minPoints;
+        expectStepperMatchesOracle<double>(
+            cfg, kShapedImpulses, kShapedReceivers, 80,
+            caseName(RoomShape::Dome, model, threads) +
+                " minPoints=" + std::to_string(minPoints));
+      }
+    }
+  }
+}
+
+TEST(Simulation, FdMmBranchStateKeepsFullSetStrideUnderEveryLaunchPlan) {
+  // The class kernels index g1/v1/v2 through origPos with the full-set
+  // stride (ci = b*numB + i), so the branch state — not just the pressure
+  // field — must equal the flat Listing-4 kernel's under every launch plan.
+  // The service checkpoint writer serializes these arrays raw; a per-class
+  // or per-launch re-stride would silently corrupt restores.
+  for (const std::int32_t minPoints : {kBoundaryFissionMinPoints, 0}) {
+    for (int threads : {1, 3}) {
+      Simulation<double>::Config cfg;
+      cfg.room = Room{RoomShape::LShape, 20, 17, 13};
+      cfg.model = BoundaryModel::FdMm;
+      cfg.numMaterials = 3;
+      cfg.numBranches = 3;
+      cfg.params.threads = threads;
+      cfg.params.boundaryFissionMinPoints = minPoints;
+      expectStepperMatchesOracle<double>(
+          cfg, {{10, 8, 6, 1.0}}, kShapedReceivers, 31,
+          "minPoints=" + std::to_string(minPoints) +
+              " threads=" + std::to_string(threads));
+    }
   }
 }
 
