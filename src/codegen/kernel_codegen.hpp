@@ -66,8 +66,8 @@ struct GeneratedKernel {
   memory::MemoryPlan plan;   // ABI argument order
   bool optimized = false;    // generated with CodegenOptions::optimize
   int preferredChunk = 0;    // >0: kernel self-schedules contiguous chunks
-                             // of at least this many dim-0 items; hosts may
-                             // shrink the launch to ~ceil(n/chunk) items
+                             // of at least this many dim-0 items; hosts
+                             // launch it with ocl::launchRange
   /// Non-empty for constant-specialized kernels: the Specialization digest
   /// baked into the source header (and thereby the JIT cache key).
   std::string specDigest;
@@ -92,7 +92,8 @@ GeneratedKernel generateKernel(const memory::KernelDef& def,
 
 /// The fixed source preamble (work-item context struct and id helpers)
 /// shared by every generated kernel; exposed for the runtime's host-side
-/// launcher, which must agree on the lifta_wi_ctx layout.
+/// launcher, which must agree on the lifta_wi_ctx layout. It includes no
+/// header, so a kernel that needs one must carry its own #include.
 std::string kernelPreamble(ir::ScalarKind real);
 
 }  // namespace lifta::codegen

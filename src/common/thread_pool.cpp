@@ -307,8 +307,7 @@ void ThreadPool::runSerialChunks(
 void ThreadPool::parallelForChunked(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {
   if (n == 0) return;
-  // Aim for ~4 chunks per thread to balance load without excess scheduling.
-  const std::size_t target = threadCount() * 4;
+  const std::size_t target = threadCount() * kChunksPerThread;
   const std::size_t chunk = std::max<std::size_t>(1, n / target);
   if (workers_.empty() || tlActivePool == this) {
     // No workers, or a nested call from inside one of our own task bodies:

@@ -52,6 +52,10 @@ public:
 
   std::size_t threadCount() const noexcept { return workers_.size() + 1; }
 
+  /// parallelFor/parallelForChunked split a loop into about this many
+  /// chunks per thread, to balance load without excess scheduling.
+  static constexpr std::size_t kChunksPerThread = 4;
+
   /// Runs body(i) for all i in [0, n), distributing contiguous chunks across
   /// the pool plus the calling thread. Blocks until every iteration is done.
   /// Exceptions thrown by `body` are captured and the first one is rethrown.

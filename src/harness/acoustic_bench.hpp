@@ -141,7 +141,7 @@ public:
     }
     const auto gen =
         codegen::generateKernel(lift_acoustics::liftVolumeKernel(rk), copts_);
-    b.range = launchConfigFor(gen, cells(), local);
+    b.range = launchConfigFor(gen, cells(), local, ctx_.pool());
     auto program = ctx_.buildProgram(gen.source);
     b.kernel = std::make_shared<ocl::Kernel>(program, gen.name);
     bindKernelArgs(*b.kernel, gen.plan,
@@ -177,7 +177,7 @@ public:
     }
     const auto gen = codegen::generateKernel(
         lift_acoustics::liftFusedFiKernel(rk), copts_);
-    b.range = launchConfigFor(gen, cells(), local);
+    b.range = launchConfigFor(gen, cells(), local, ctx_.pool());
     auto program = ctx_.buildProgram(gen.source);
     b.kernel = std::make_shared<ocl::Kernel>(program, gen.name);
     bindKernelArgs(*b.kernel, gen.plan,
@@ -213,7 +213,7 @@ public:
     }
     const auto gen =
         codegen::generateKernel(lift_acoustics::liftFiMmKernel(rk), copts_);
-    b.range = launchConfigFor(gen, boundaryPoints(), local);
+    b.range = launchConfigFor(gen, boundaryPoints(), local, ctx_.pool());
     auto program = ctx_.buildProgram(gen.source);
     b.kernel = std::make_shared<ocl::Kernel>(program, gen.name);
     bindKernelArgs(*b.kernel, gen.plan,
@@ -257,7 +257,7 @@ public:
     }
     const auto gen = codegen::generateKernel(
         lift_acoustics::liftFdMmKernel(rk, branches_), copts_);
-    b.range = launchConfigFor(gen, boundaryPoints(), local);
+    b.range = launchConfigFor(gen, boundaryPoints(), local, ctx_.pool());
     auto program = ctx_.buildProgram(gen.source);
     b.kernel = std::make_shared<ocl::Kernel>(program, gen.name);
     bindKernelArgs(*b.kernel, gen.plan,

@@ -47,28 +47,13 @@ void bindKernelArgs(ocl::Kernel& kernel, const memory::MemoryPlan& plan,
 
 ocl::NDRange launchConfig(std::size_t n, std::size_t local,
                           std::size_t maxGlobal) {
-  LIFTA_CHECK(local > 0, "local size must be positive");
-  // Round n up to a multiple of local, then cap: generated kernels use
-  // grid-stride loops, so fewer work-items than elements is fine.
-  std::size_t global = (n + local - 1) / local * local;
-  if (global > maxGlobal) {
-    global = maxGlobal / local * local;
-    if (global == 0) global = local;
-  }
-  if (global == 0) global = local;
-  return ocl::NDRange::linear(global, local);
+  return ocl::NDRange::covering(n, local, maxGlobal);
 }
 
 ocl::NDRange launchConfigFor(const codegen::GeneratedKernel& gen,
                              std::size_t n, std::size_t local,
-                             std::size_t maxGlobal) {
-  if (gen.preferredChunk <= 0) return launchConfig(n, local, maxGlobal);
-  const auto chunk = static_cast<std::size_t>(gen.preferredChunk);
-  std::size_t items = (n + chunk - 1) / chunk;
-  if (items < 256) items = 256;
-  if (items > n) items = n;
-  if (items == 0) items = 1;
-  return launchConfig(items, local, maxGlobal);
+                             const ThreadPool& pool, std::size_t maxGlobal) {
+  return ocl::launchRange(n, gen.preferredChunk, local, pool, maxGlobal);
 }
 
 }  // namespace lifta::harness

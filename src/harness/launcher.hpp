@@ -41,19 +41,20 @@ std::vector<T> download(ocl::CommandQueue& q, const ocl::BufferPtr& buf,
 
 /// Picks the launch configuration used throughout the benchmarks: a
 /// grid-stride NDRange whose global size covers at most `n` work-items
-/// rounded to work-groups of `local`.
+/// rounded to work-groups of `local` (ocl::NDRange::covering).
 ocl::NDRange launchConfig(std::size_t n, std::size_t local,
                           std::size_t maxGlobal = 1u << 16);
 
-/// Launch geometry matched to how a generated kernel distributes work.
-/// Grid-stride kernels get the plain launchConfig over `n`; chunk-scheduled
-/// kernels (gen.preferredChunk > 0 — each work item covers a contiguous
-/// chunk by itself) shrink the launch to ~ceil(n / chunk) items, with a
-/// 256-item floor for parallel slack. The kernel's own chunk computation
-/// covers [0, n) under any geometry, so this is purely a dispatch-overhead
-/// optimization.
+/// Launch geometry matched to how a generated kernel distributes work:
+/// ocl::launchRange with the kernel's preferredChunk, the one launch rule
+/// CompiledHostProgram also applies to every kernel call. Chunk-scheduled
+/// kernels get ceil(n / chunk) work-items, in work-groups smaller than
+/// `local` when that would leave fewer than ThreadPool::kChunksPerThread
+/// groups per thread of `pool` (the launching context's pool); grid-stride
+/// kernels get launchConfig over `n`.
 ocl::NDRange launchConfigFor(const codegen::GeneratedKernel& gen,
                              std::size_t n, std::size_t local,
+                             const ThreadPool& pool,
                              std::size_t maxGlobal = 1u << 16);
 
 }  // namespace lifta::harness

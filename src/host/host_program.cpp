@@ -1,5 +1,7 @@
 #include "host/host_program.hpp"
 
+#include <algorithm>
+
 #include "analysis/dataflow.hpp"
 #include "analysis/host_lint.hpp"
 #include "common/error.hpp"
@@ -244,6 +246,13 @@ void CompiledHostProgram::bindBuffer(const std::string& paramName,
 
 void CompiledHostProgram::bindOutput(const std::string& outputName, void* data,
                                      std::size_t bytes) {
+  // run() skips unbound outputs, so a misspelled name must fail here rather
+  // than leave the caller's buffer silently unwritten.
+  const auto& outs = prog_.outputs_;
+  if (std::none_of(outs.begin(), outs.end(),
+                   [&](const auto& o) { return o.second == outputName; })) {
+    throw Error("no output named '" + outputName + "'");
+  }
   hostOutputs_[outputName] = {data, bytes};
 }
 
@@ -298,6 +307,15 @@ void CompiledHostProgram::setLocalSize(const HostPtr& node,
 
 std::size_t CompiledHostProgram::localSize(const HostPtr& node) const {
   return instanceFor(node).localSize;
+}
+
+ocl::NDRange CompiledHostProgram::launchRange(const HostPtr& node,
+                                              std::size_t local) const {
+  const KernelInstance& inst = instanceFor(node);
+  const KernelSpec& spec = inst.node->kernel;
+  const auto n = static_cast<std::size_t>(ints_.at(spec.launchCountScalar));
+  return ocl::launchRange(n, inst.launchChunk, local, ctx_.pool(),
+                          spec.maxGlobal);
 }
 
 void CompiledHostProgram::replaceKernelProgram(
@@ -429,26 +447,8 @@ ocl::BufferPtr CompiledHostProgram::evalDevice(const HostPtr& node,
         inst.kernel->setArg(slot, out);
         deviceBuffers_[node.get()] = out;
       }
-      const auto n = static_cast<std::size_t>(
-          ints_.at(node->kernel.launchCountScalar));
-      const std::size_t local = inst.localSize;
-      // Chunk-scheduled kernels cover [0, n) themselves under any launch
-      // geometry; shrink the launch to ~n/chunk items (256-item floor for
-      // parallel slack) to cut per-work-item dispatch overhead.
-      std::size_t items = n;
-      if (inst.launchChunk > 0) {
-        const auto chunk = static_cast<std::size_t>(inst.launchChunk);
-        items = (n + chunk - 1) / chunk;
-        if (items < 256) items = 256;
-        if (items > n) items = n;
-      }
-      std::size_t global = (items + local - 1) / local * local;
-      if (global > node->kernel.maxGlobal) {
-        global = node->kernel.maxGlobal / local * local;
-      }
-      if (global == 0) global = local;
       const auto ev =
-          q.enqueueNDRange(*inst.kernel, ocl::NDRange::linear(global, local));
+          q.enqueueNDRange(*inst.kernel, launchRange(node, inst.localSize));
       stats.kernels.emplace_back(inst.entry, ev.milliseconds);
       inst.aliasOut = nullptr;  // reset per run
       if (!inst.hasOut) {
@@ -484,13 +484,13 @@ CompiledHostProgram::RunStats CompiledHostProgram::run(bool skipUploads) {
   memo_.clear();
   for (const auto& [node, outputName] : prog_.outputs_) {
     auto buf = evalDevice(node, skipUploads, stats);
-    auto it = hostOutputs_.find(outputName);
-    if (it == hostOutputs_.end()) {
-      throw Error("output '" + outputName + "' not bound");
-    }
     if (buf == nullptr) {
       throw Error("output '" + outputName + "' has no device buffer");
     }
+    // An unbound output stays on the device (read it through
+    // deviceBuffer); only bound ones are copied back.
+    auto it = hostOutputs_.find(outputName);
+    if (it == hostOutputs_.end()) continue;
     auto [data, bytes] = it->second;
     ocl::CommandQueue q(ctx_);
     stats.transferMs += q.enqueueRead(*buf, data, bytes).milliseconds;

@@ -56,7 +56,8 @@ struct KernelSpec {
   std::vector<Arg> args;
 
   /// Launch size: the name of a declared int scalar holding the logical
-  /// element count (grid-stride kernels tolerate any cap).
+  /// element count. The NDRange comes from ocl::launchRange over it
+  /// (grid-stride kernels tolerate any cap).
   std::string launchCountScalar;
   std::size_t localSize = 64;
   std::size_t maxGlobal = 1u << 16;
@@ -103,7 +104,9 @@ public:
   /// is that same buffer.
   HostPtr writeTo(HostPtr dest, HostPtr call);
   /// Marks a device value as a program output, copied back at the end of
-  /// each run into the host pointer bound under `outputName`.
+  /// each run into the host pointer bound under `outputName`. An output
+  /// nobody binds is still computed but stays on the device, where
+  /// CompiledHostProgram::deviceBuffer reaches it.
   void toHost(HostPtr deviceValue, const std::string& outputName);
 
   /// Readable generated host code (clCreateBuffer / enqueueWriteBuffer /
@@ -149,6 +152,9 @@ class CompiledHostProgram {
 public:
   void bindBuffer(const std::string& paramName, const void* data,
                   std::size_t bytes);
+  /// Binds the host pointer a toHost output is copied into after each
+  /// run; throws lifta::Error when no output has that name. An output
+  /// nobody binds stays on the device.
   void bindOutput(const std::string& outputName, void* data,
                   std::size_t bytes);
   /// Sizes a deviceAlloc(...) scratch buffer (by its declared name).
@@ -162,9 +168,10 @@ public:
     double transferMs = 0.0;
   };
 
-  /// Executes the whole schedule. With skipUploads, ToGPU copies are
-  /// elided (device buffers keep their previous contents) — used by
-  /// iterative time stepping after the first run.
+  /// Executes the whole schedule and copies every bound output back. With
+  /// skipUploads, ToGPU copies are elided (device buffers keep their
+  /// previous contents) — used by iterative time stepping after the first
+  /// run.
   RunStats run(bool skipUploads = false);
 
   /// Device buffer behind a ToGPU/KernelCall/WriteTo node (for rotation in
@@ -175,9 +182,15 @@ public:
 
   /// Overrides the work-group size of one kernel call (accepts the
   /// KernelCall node or a WriteTo wrapping it) — the hook the autotuner
-  /// drives. The KernelSpec default applies until this is called.
+  /// drives. The KernelSpec default applies until this is called. It is an
+  /// upper bound: launchRange may launch a smaller work-group.
   void setLocalSize(const HostPtr& node, std::size_t local);
   std::size_t localSize(const HostPtr& node) const;
+  /// The NDRange run() launches this kernel call with at work-group size
+  /// `local`: ocl::launchRange over its bound launch count, which shrinks
+  /// the work-group of a small chunk-scheduled launch to reach every pool
+  /// thread.
+  ocl::NDRange launchRange(const HostPtr& node, std::size_t local) const;
 
   /// Hot-swaps the compiled program behind one generated kernel call
   /// (KernelCall node or WriteTo wrapping it) — the tiered-execution

@@ -77,7 +77,10 @@ struct UserFun {
   std::vector<std::string> paramNames;
   std::vector<TypePtr> paramTypes;
   TypePtr returnType;
-  std::string body;  // C statement list using paramNames; must `return`.
+  /// C statement list using paramNames; must `return`. The kernel source
+  /// includes no header (codegen::kernelPreamble), so a body cannot call
+  /// libm by name; use the compiler builtins (e.g. __builtin_sqrt).
+  std::string body;
 };
 using UserFunPtr = std::shared_ptr<UserFun>;
 

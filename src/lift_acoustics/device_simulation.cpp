@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <set>
 #include <string>
 
 #include "common/error.hpp"
@@ -52,8 +53,8 @@ struct DeviceSimulation::Impl {
   int firstSwapStep = -1;
 
   // Host staging (double master copies; float shadows when needed).
-  std::vector<double> curr, prev, next;
-  std::vector<float> currF, prevF, nextF;
+  std::vector<double> curr, prev;
+  std::vector<float> currF, prevF;
   std::vector<double> beta, bi, d, di, f, g1, v1, v2;
   std::vector<float> betaF, biF, dF, diF, fF, g1F, v1F, v2F;
   std::vector<std::int32_t> nbrs, bidx, mat;
@@ -170,7 +171,6 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
   const std::size_t cells = grid_->cells();
   im.curr.assign(cells, 0.0);
   im.prev.assign(cells, 0.0);
-  im.next.assign(cells, 0.0);
   im.beta = acoustics::betaTable(mats);
   im.bi = fd.BI;
   im.d = fd.D;
@@ -412,8 +412,9 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
   }
   im.volNode = volNode;
   im.bndNode = updated;
-  // The output copy-back is on demand via sample(); bind next as output so
-  // the ToHost transfer lands in im.next each run.
+  // The output copy-back is on demand via sample(), which reads one element
+  // of this node's device buffer; next_h is never bound, so no run copies
+  // the field to the host.
   prog.toHost(updated, "next_h");
 
   im.compiled = prog.compile(ctx, config_.precision);
@@ -508,14 +509,11 @@ void DeviceSimulation::autotuneLocalSizes() {
   if (dbl) {
     bindVec(c, "prev1_h", im.curr);
     bindVec(c, "prev2_h", im.prev);
-    c.bindOutput("next_h", im.next.data(), im.next.size() * sizeof(double));
   } else {
     im.currF = toF(im.curr);
     im.prevF = toF(im.prev);
-    im.nextF.assign(im.next.size(), 0.0f);
     bindVec(c, "prev1_h", im.currF);
     bindVec(c, "prev2_h", im.prevF);
-    c.bindOutput("next_h", im.nextF.data(), im.nextF.size() * sizeof(float));
   }
   c.run();  // materialize device buffers once at the spec defaults
 
@@ -534,12 +532,24 @@ void DeviceSimulation::autotuneLocalSizes() {
     targets.push_back({im.bndNodes[k], 1 + k});
   }
   for (const auto& t : targets) {
+    // The launch rule shrinks the work-group of a small chunk-scheduled
+    // launch to reach every pool thread, so every candidate it shrinks
+    // launches alike: time each distinct launch once, and leave a launch
+    // whose candidates all launch alike at its default.
+    std::vector<std::size_t> candidates;
+    std::set<std::size_t> launched;
+    for (const std::size_t ls : {16, 32, 64, 128, 256}) {
+      if (launched.insert(c.launchRange(t.node, ls).local[0]).second) {
+        candidates.push_back(ls);
+      }
+    }
+    if (candidates.size() < 2) continue;
     const auto tuned = harness::autotuneWorkGroup(
         [&](std::size_t ls) {
           c.setLocalSize(t.node, ls);
           return c.run(/*skipUploads=*/true).kernels.at(t.kernelIdx).second;
         },
-        {16, 32, 64, 128, 256}, /*iters=*/5, /*warmup=*/1);
+        candidates, /*iters=*/5, /*warmup=*/1);
     c.setLocalSize(t.node, tuned.bestLocalSize);
   }
 }
@@ -708,16 +718,11 @@ double DeviceSimulation::step() {
     if (dbl) {
       bindVec(c, "prev1_h", im.curr);
       bindVec(c, "prev2_h", im.prev);
-      c.bindOutput("next_h", im.next.data(),
-                   im.next.size() * sizeof(double));
     } else {
       im.currF = toF(im.curr);
       im.prevF = toF(im.prev);
-      im.nextF.assign(im.next.size(), 0.0f);
       bindVec(c, "prev1_h", im.currF);
       bindVec(c, "prev2_h", im.prevF);
-      c.bindOutput("next_h", im.nextF.data(),
-                   im.nextF.size() * sizeof(float));
     }
     stats = c.run();
     im.uploaded = true;
@@ -750,11 +755,20 @@ double DeviceSimulation::step() {
 
 double DeviceSimulation::sample(int x, int y, int z) {
   Impl& im = *impl_;
+  // Before the first step the field is the zero initial state.
+  if (!im.uploaded) return 0.0;
+  // The last boundary launch wrote the step's result in place, so its
+  // node's buffer holds the whole updated field; read just this element.
+  const auto buf = im.compiled->deviceBuffer(im.bndNode);
   const std::size_t idx = config_.room.index(x, y, z);
   if (config_.precision == ir::ScalarKind::Double) {
-    return im.next[idx];
+    double v = 0.0;
+    buf->read(&v, sizeof v, idx * sizeof v);
+    return v;
   }
-  return static_cast<double>(im.nextF[idx]);
+  float v = 0.0f;
+  buf->read(&v, sizeof v, idx * sizeof v);
+  return static_cast<double>(v);
 }
 
 std::vector<double> DeviceSimulation::record(int n, int x, int y, int z) {

@@ -54,9 +54,9 @@ public:
     /// pure-interior segments). Output is bit-identical to the flat
     /// kernel. Mutually exclusive with useStencil3DVolume.
     bool useRunTableVolume = false;
-    /// Time each kernel at several work-group sizes during construction
-    /// (harness::autotuneWorkGroup) and keep the fastest, instead of the
-    /// hard-coded spec default. Tuning runs execute over the zero-filled
+    /// Time each kernel at the work-group sizes that launch differently
+    /// (harness::autotuneWorkGroup) during construction and keep the
+    /// fastest, instead of the hard-coded spec default. Tuning runs execute over the zero-filled
     /// initial state and the first real step() re-uploads everything, so
     /// simulation output is unaffected.
     bool autoTuneLocalSize = false;
@@ -105,7 +105,9 @@ public:
   double totalVolumeMs() const { return volumeMs_; }
   double totalBoundaryMs() const { return boundaryMs_; }
 
-  /// Work-group sizes in effect (spec defaults, or the autotuned picks).
+  /// Work-group sizes requested (spec defaults, or the autotuned picks). A
+  /// small chunk-scheduled launch runs smaller work-groups so it reaches
+  /// every pool thread (CompiledHostProgram::launchRange).
   std::size_t volumeLocalSize() const;
   std::size_t boundaryLocalSize() const;
   /// Work-group size of one boundary launch (fission: per-launch tuning).

@@ -1,17 +1,25 @@
 #include "ocl/jit.hpp"
 
 #include <dlfcn.h>
+#include <signal.h>
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <list>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -79,6 +87,48 @@ std::string hashHex(std::uint64_t h) {
   return hex;
 }
 
+/// Runs `cmd` through /bin/sh (LIFTA_CXX may carry its own arguments) in a
+/// new process group and waits at most `deadline` for it. Returns the
+/// shell's exit status (-1 if a signal ended it), or nullopt when the
+/// deadline expired: the whole group (the shell and the compiler it
+/// started) is then killed and reaped.
+std::optional<int> runCompiler(const std::string& cmd,
+                               std::chrono::milliseconds deadline) {
+  posix_spawnattr_t attr;
+  posix_spawnattr_init(&attr);
+  posix_spawnattr_setflags(&attr, POSIX_SPAWN_SETPGROUP);
+  posix_spawnattr_setpgroup(&attr, 0);
+  const char* argv[] = {"sh", "-c", cmd.c_str(), nullptr};
+  pid_t pid = 0;
+  const int err = posix_spawn(&pid, "/bin/sh", nullptr, &attr,
+                              const_cast<char* const*>(argv), environ);
+  posix_spawnattr_destroy(&attr);
+  if (err != 0) {
+    throw OclError("cannot start the kernel compiler: " +
+                   std::string(std::strerror(err)));
+  }
+  // Poll rather than block so the deadline needs no signals or helper
+  // thread; 1 ms is noise next to a cold compile.
+  const auto expiry = std::chrono::steady_clock::now() + deadline;
+  int status = 0;
+  for (;;) {
+    const pid_t r = waitpid(pid, &status, WNOHANG);
+    if (r == pid) break;
+    if (r < 0 && errno != EINTR) {
+      throw OclError("waiting for the kernel compiler failed: " +
+                     std::string(std::strerror(errno)));
+    }
+    if (std::chrono::steady_clock::now() >= expiry) {
+      kill(-pid, SIGKILL);
+      while (waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+      }
+      return std::nullopt;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
 /// Removes the registered paths on destruction unless released — compile
 /// failures must not litter the scratch directory.
 class TempFiles {
@@ -110,6 +160,7 @@ struct Jit::Impl {
   std::size_t capacity = 256;
 
   std::string diskDir;  // "" = disabled
+  std::chrono::milliseconds compileTimeout{kDefaultCompileTimeout};
   Stats stats;
 
   /// Must be called with `mu` held.
@@ -206,6 +257,11 @@ void Jit::setDiskCacheDir(const std::string& dir) {
   impl_->diskDir = std::move(canonical);
 }
 
+void Jit::setCompileTimeout(std::chrono::milliseconds timeout) {
+  std::lock_guard<std::mutex> lock(impl_->mu);
+  impl_->compileTimeout = timeout;
+}
+
 std::string Jit::diskCacheDir() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
   return impl_->diskDir;
@@ -227,6 +283,7 @@ std::shared_ptr<SharedObject> Jit::compile(const std::string& source,
       fnv1a(compilerIdentity() + '\x1f' + flags + '\x1f' + source);
 
   std::string diskDir;
+  std::chrono::milliseconds timeout;
   {
     std::lock_guard<std::mutex> lock(impl_->mu);
     auto it = impl_->cache.find(h);
@@ -240,6 +297,7 @@ std::shared_ptr<SharedObject> Jit::compile(const std::string& source,
     }
     ++impl_->stats.misses;
     diskDir = impl_->diskDir;
+    timeout = impl_->compileTimeout;
   }
 
   const std::string hex = hashHex(h);
@@ -291,10 +349,16 @@ std::shared_ptr<SharedObject> Jit::compile(const std::string& source,
 
   const std::string cmd = compilerCommand() + " " + flags + " -x c++ '" + src +
                           "' -o '" + so + "' 2> '" + log + "'";
-  const int rc = std::system(cmd.c_str());
-  if (rc != 0) {
-    // TempFiles removes src/so/log on unwind: failed builds leave nothing.
-    throw OclError("kernel build failed (exit " + std::to_string(rc) +
+  const auto rc = runCompiler(cmd, timeout);
+  // TempFiles removes src/so/log on unwind: failed builds leave nothing.
+  if (!rc) {
+    throw OclError("kernel build timed out after " +
+                   std::to_string(timeout.count()) +
+                   " ms; compiler killed\n--- compiler log ---\n" +
+                   readFile(log));
+  }
+  if (*rc != 0) {
+    throw OclError("kernel build failed (exit " + std::to_string(*rc) +
                    ")\n--- source ---\n" + source + "\n--- compiler log ---\n" +
                    readFile(log));
   }

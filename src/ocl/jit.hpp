@@ -16,12 +16,18 @@
 //     compiled objects are copied there under their content hash and later
 //     processes dlopen them directly, skipping the compiler entirely.
 //
+// The compiler runs as a child process with a deadline
+// (kDefaultCompileTimeout, far above a cold compile): a hung compiler is
+// killed and its build fails, instead of wedging the caller — for tiered
+// kernels, the one CompileQueue worker every later job depends on.
+//
 // Compilation flags deliberately exclude -march=native / fast-math: both the
 // LIFT-generated and the hand-written kernels must execute the same FP
 // operation sequence as the portable C++ reference so correctness tests can
 // compare bitwise.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -49,6 +55,9 @@ private:
   std::string path_;
 };
 
+/// How long one compiler invocation may run before it is killed.
+inline constexpr std::chrono::milliseconds kDefaultCompileTimeout{120000};
+
 /// Process-wide JIT compiler with a content-addressed cache.
 class Jit {
 public:
@@ -57,7 +66,8 @@ public:
   /// Compiles `source` (if not cached in memory or on disk) and returns the
   /// loaded object. `extraFlags` is appended to the fixed flag set and is
   /// part of the cache key. Throws OclError with the compiler log on
-  /// failure; no temporary files are left behind when compilation fails.
+  /// failure, including a compiler killed at the compile timeout; no
+  /// temporary files are left behind when compilation fails.
   std::shared_ptr<SharedObject> compile(const std::string& source,
                                         const std::string& extraFlags = "");
 
@@ -92,6 +102,11 @@ public:
   /// Sets (and creates) the on-disk cache directory; "" disables.
   void setDiskCacheDir(const std::string& dir);
   std::string diskCacheDir() const;
+
+  /// Sets the deadline for one compiler invocation (default
+  /// kDefaultCompileTimeout). For tests, which shorten it to exercise the
+  /// kill path without waiting minutes.
+  void setCompileTimeout(std::chrono::milliseconds timeout);
 
   /// Per-process scratch directory compiles run in (for tests).
   const std::string& scratchDir() const { return scratchDir_; }

@@ -1,5 +1,7 @@
 #include "ocl/runtime.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/stats.hpp"
 
@@ -39,6 +41,30 @@ NDRange NDRange::linear(std::size_t globalSize, std::size_t localSize) {
   r.local = {localSize, 1, 1};
   r.dims = 1;
   return r;
+}
+
+NDRange NDRange::covering(std::size_t items, std::size_t localSize,
+                          std::size_t maxGlobal) {
+  LIFTA_CHECK(localSize > 0, "local size must be positive");
+  std::size_t global = (items + localSize - 1) / localSize * localSize;
+  if (global > maxGlobal) global = maxGlobal / localSize * localSize;
+  if (global == 0) global = localSize;
+  return linear(global, localSize);
+}
+
+NDRange launchRange(std::size_t n, int chunk, std::size_t local,
+                    const ThreadPool& pool, std::size_t maxGlobal) {
+  LIFTA_CHECK(local > 0, "local size must be positive");
+  if (chunk <= 0) return NDRange::covering(n, local, maxGlobal);
+  const auto c = static_cast<std::size_t>(chunk);
+  const std::size_t items = std::max<std::size_t>(1, (n + c - 1) / c);
+  // Work-groups run as the pool's parallelFor iterations, which it splits
+  // into kChunksPerThread chunks per thread; fewer groups leave threads idle.
+  const std::size_t groups = ThreadPool::kChunksPerThread * pool.threadCount();
+  if ((items + local - 1) / local < groups) {
+    local = std::max<std::size_t>(1, (items + groups - 1) / groups);
+  }
+  return NDRange::covering(items, local, maxGlobal);
 }
 
 // --- Program / Kernel ---------------------------------------------------------

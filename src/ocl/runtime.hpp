@@ -68,7 +68,29 @@ struct NDRange {
   int dims = 1;
 
   static NDRange linear(std::size_t globalSize, std::size_t localSize);
+  /// Whole work-groups of `localSize` covering `items` work-items, capped
+  /// at `maxGlobal` (rounded down to whole groups), at least one group.
+  static NDRange covering(std::size_t items, std::size_t localSize,
+                          std::size_t maxGlobal);
 };
+
+/// The launch rule for a 1-D kernel over `n` elements, shared by every host
+/// that launches generated kernels.
+///
+/// chunk <= 0 (grid-stride kernel): NDRange::covering(n, local, maxGlobal);
+/// any cap is fine, the kernel strides.
+///
+/// chunk > 0 (chunk-scheduled kernel: work-item i covers [i*c, (i+1)*c)
+/// with c = max(ceil(n / global), chunk)): ceil(n / chunk) work-items, so
+/// every launched item but the padding owns a full chunk. When that gives
+/// fewer than ThreadPool::kChunksPerThread work-groups per thread of
+/// `pool` (the pool the launch runs on), the work-group shrinks (never
+/// below one item) until the items spread over about that many groups; the
+/// per-item chunk never shrinks, so the generated source is unaffected.
+/// Without the shrink a 3,536-point boundary launch is 56 items in one
+/// 64-item group: one pool thread does all of it.
+NDRange launchRange(std::size_t n, int chunk, std::size_t local,
+                    const ThreadPool& pool, std::size_t maxGlobal = 1u << 16);
 
 class Context;
 

@@ -236,7 +236,7 @@ std::vector<std::vector<double>> runOnce(
   ocl::Kernel k(ctx.buildProgram(gen.source), gen.name);
   ArgMap args = makeArgs(ctx, q);
   harness::bindKernelArgs(k, gen.plan, args);
-  q.enqueueNDRange(k, harness::launchConfigFor(gen, n, 64));
+  q.enqueueNDRange(k, harness::launchConfigFor(gen, n, 64, ctx.pool()));
   std::vector<std::vector<double>> result;
   for (const auto& [name, len] : outs) {
     result.push_back(

@@ -332,6 +332,16 @@ TEST(Codegen, MapWrgRejectedByBarrierFreeGenerator) {
   EXPECT_THROW(generateKernel(def), CodegenError);
 }
 
+// The JIT compiles kernels as C++; a system header in the preamble (the old
+// <math.h> pulled in <cmath>) costs every cold compile ~150 ms. Real
+// min/max call compiler builtins instead (run in test_runtime.cpp).
+TEST(Codegen, PreambleIncludesNoHeaders) {
+  for (const auto real : {ScalarKind::Float, ScalarKind::Double}) {
+    EXPECT_FALSE(contains(kernelPreamble(real), "#include"))
+        << (real == ScalarKind::Float ? "float" : "double");
+  }
+}
+
 TEST(Codegen, PreambleDefinesWorkItemHelpers) {
   const std::string p = kernelPreamble(ScalarKind::Float);
   EXPECT_TRUE(contains(p, "typedef float real;"));

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "common/error.hpp"
 #include "ir/typecheck.hpp"
 
@@ -89,6 +93,45 @@ TEST(Launcher, LaunchConfigRoundsAndCaps) {
 
   r = launchConfig(0, 16);
   EXPECT_EQ(r.global[0], 16u);  // at least one work-group
+}
+
+// The one launch rule for chunk-scheduled kernels, checked against the
+// kernel's own per-item formula c = max(ceil(n / gsz), chunk), item i
+// covering [i*c, min((i+1)*c, n)). The sizes are the 96x72x56 box's
+// boundary launches (edge 848; faces 3,536 / 4,784 / 6,256), the
+// micro_compiler FD-MM launch (16,110), a volume launch (387,072) and a
+// launch smaller than one chunk. A rule that pads small launches to 256
+// items in 64-item groups leaves the face launches with work in only 1-2
+// of their groups and the edge launch in one.
+TEST(Launcher, ChunkedLaunchCoversOnceAndReachesEveryThread) {
+  constexpr std::size_t kChunk = 64;
+  constexpr std::size_t kLocal = 64;
+  ThreadPool pool(4);
+  codegen::GeneratedKernel gen;
+  gen.preferredChunk = static_cast<int>(kChunk);
+  for (const std::size_t n : {8, 848, 3536, 4784, 6256, 16110, 387072}) {
+    const auto r = launchConfigFor(gen, n, kLocal, pool);
+    const std::size_t gsz = r.global[0];
+    const std::size_t lsz = r.local[0];
+    ASSERT_EQ(gsz % lsz, 0u) << "n=" << n;
+    EXPECT_LE(lsz, kLocal) << "n=" << n;
+    const std::size_t c = std::max((n + gsz - 1) / gsz, kChunk);
+    EXPECT_EQ(c, kChunk) << "n=" << n << ": the per-item chunk grew";
+    std::vector<int> owners(n, 0);
+    std::set<std::size_t> busyGroups;
+    for (std::size_t i = 0; i < gsz; ++i) {
+      const std::size_t lo = i * c;
+      const std::size_t hi = std::min(lo + c, n);
+      for (std::size_t k = lo; k < hi; ++k) ++owners[k];
+      if (lo < hi) busyGroups.insert(i / lsz);
+    }
+    EXPECT_TRUE(std::all_of(owners.begin(), owners.end(),
+                            [](int o) { return o == 1; }))
+        << "n=" << n << ": [0, n) not covered exactly once";
+    const std::size_t items = (n + kChunk - 1) / kChunk;
+    EXPECT_GE(busyGroups.size(), std::min<std::size_t>(4, items))
+        << "n=" << n << ": global " << gsz << ", local " << lsz;
+  }
 }
 
 TEST(Launcher, UploadDownloadRoundTrip) {

@@ -23,7 +23,7 @@ using namespace lifta::acoustics;
 /// returns (program, handles needed by the test).
 struct Listing5 {
   HostProgram prog;
-  HostPtr prev1G, prev2G, nextG;
+  HostPtr prev1G, prev2G, nextG, updated;
 
   Listing5() {
     for (const char* s : {"nx", "nxny", "cells", "numB", "M"}) {
@@ -64,10 +64,36 @@ struct Listing5 {
                      {nullptr, "cells"}, {nullptr, "numB"}, {nullptr, "M"},
                      {nullptr, "l"}};
     boundary.launchCountScalar = "numB";
-    auto updated = prog.writeTo(nextG, prog.kernelCall(boundary));
+    updated = prog.writeTo(nextG, prog.kernelCall(boundary));
     prog.toHost(updated, "next_h");
   }
 };
+
+/// Binds every Listing 5 input and scalar (not the output): prev1_h is
+/// t-1 (curr), prev2_h is t-2 (prev).
+void bindListing5Inputs(CompiledHostProgram& c, const RoomGrid& grid,
+                        const std::vector<double>& curr,
+                        const std::vector<double>& prev,
+                        const std::vector<double>& beta,
+                        const SimParams& params) {
+  const std::size_t cells = grid.cells();
+  c.bindBuffer("prev1_h", curr.data(), cells * sizeof(double));
+  c.bindBuffer("prev2_h", prev.data(), cells * sizeof(double));
+  c.bindBuffer("nbrs_h", grid.nbrs.data(),
+               grid.nbrs.size() * sizeof(std::int32_t));
+  c.bindBuffer("boundaries_h", grid.boundaryIndices.data(),
+               grid.boundaryIndices.size() * sizeof(std::int32_t));
+  c.bindBuffer("material_h", grid.material.data(),
+               grid.material.size() * sizeof(std::int32_t));
+  c.bindBuffer("beta_h", beta.data(), beta.size() * sizeof(double));
+  c.setInt("nx", grid.nx);
+  c.setInt("nxny", grid.nx * grid.ny);
+  c.setInt("cells", static_cast<int>(cells));
+  c.setInt("numB", static_cast<int>(grid.boundaryPoints()));
+  c.setInt("M", static_cast<int>(beta.size()));
+  c.setReal("l", params.l());
+  c.setReal("l2", params.l2());
+}
 
 TEST(HostProgram, Listing5TwoKernelStepMatchesReference) {
   Room room{RoomShape::Dome, 16, 14, 12};
@@ -99,23 +125,8 @@ TEST(HostProgram, Listing5TwoKernelStepMatchesReference) {
   Listing5 l5;
   ocl::Context ctx;
   auto compiled = l5.prog.compile(ctx, ir::ScalarKind::Double);
-  compiled->bindBuffer("prev1_h", curr.data(), cells * sizeof(double));
-  compiled->bindBuffer("prev2_h", prev.data(), cells * sizeof(double));
-  compiled->bindBuffer("nbrs_h", grid.nbrs.data(),
-                       grid.nbrs.size() * sizeof(std::int32_t));
-  compiled->bindBuffer("boundaries_h", grid.boundaryIndices.data(),
-                       grid.boundaryIndices.size() * sizeof(std::int32_t));
-  compiled->bindBuffer("material_h", grid.material.data(),
-                       grid.material.size() * sizeof(std::int32_t));
-  compiled->bindBuffer("beta_h", beta.data(), beta.size() * sizeof(double));
+  bindListing5Inputs(*compiled, grid, curr, prev, beta, params);
   compiled->bindOutput("next_h", next.data(), cells * sizeof(double));
-  compiled->setInt("nx", grid.nx);
-  compiled->setInt("nxny", grid.nx * grid.ny);
-  compiled->setInt("cells", static_cast<int>(cells));
-  compiled->setInt("numB", static_cast<int>(grid.boundaryPoints()));
-  compiled->setInt("M", 2);
-  compiled->setReal("l", params.l());
-  compiled->setReal("l2", params.l2());
 
   const auto stats = compiled->run();
   // Exactly two kernel launches, volume first (in-order dependency).
@@ -141,23 +152,8 @@ TEST(HostProgram, RepeatedRunsWithSkipUploadsReuseDeviceState) {
 
   ocl::Context ctx;
   auto compiled = l5.prog.compile(ctx, ir::ScalarKind::Double);
-  compiled->bindBuffer("prev1_h", curr.data(), cells * sizeof(double));
-  compiled->bindBuffer("prev2_h", prev.data(), cells * sizeof(double));
-  compiled->bindBuffer("nbrs_h", grid.nbrs.data(),
-                       grid.nbrs.size() * sizeof(std::int32_t));
-  compiled->bindBuffer("boundaries_h", grid.boundaryIndices.data(),
-                       grid.boundaryIndices.size() * sizeof(std::int32_t));
-  compiled->bindBuffer("material_h", grid.material.data(),
-                       grid.material.size() * sizeof(std::int32_t));
-  compiled->bindBuffer("beta_h", beta.data(), beta.size() * sizeof(double));
+  bindListing5Inputs(*compiled, grid, curr, prev, beta, params);
   compiled->bindOutput("next_h", next.data(), cells * sizeof(double));
-  compiled->setInt("nx", grid.nx);
-  compiled->setInt("nxny", grid.nx * grid.ny);
-  compiled->setInt("cells", static_cast<int>(cells));
-  compiled->setInt("numB", static_cast<int>(grid.boundaryPoints()));
-  compiled->setInt("M", 2);
-  compiled->setReal("l", params.l());
-  compiled->setReal("l2", params.l2());
 
   compiled->run();
   const std::vector<double> first = next;
@@ -177,6 +173,52 @@ TEST(HostProgram, RepeatedRunsWithSkipUploadsReuseDeviceState) {
     diff = std::max(diff, std::fabs(next[i] - first[i]));
   }
   EXPECT_GT(diff, 0.0);
+}
+
+// run() copies back only the outputs bound to a host pointer: a second
+// output (the uploaded t-1 field) is bound and copied, while next_h, left
+// unbound as DeviceSimulation leaves it, stays on the device with the
+// step's result. A misspelled output name is rejected at bind time.
+TEST(HostProgram, OnlyBoundOutputsAreCopiedBack) {
+  Room room{RoomShape::Dome, 12, 10, 10};
+  const RoomGrid grid = voxelize(room, 2);
+  SimParams params;
+  const auto mats = defaultMaterials(2, 0);
+  std::vector<double> beta{mats[0].beta, mats[1].beta};
+  Rng rng(11);
+  const std::size_t cells = grid.cells();
+  std::vector<double> curr(cells, 0.0), prev(cells, 0.0);
+  for (std::size_t i = 0; i < cells; ++i) {
+    if (grid.nbrs[i] > 0) {
+      curr[i] = rng.uniform(-0.1, 0.1);
+      prev[i] = rng.uniform(-0.1, 0.1);
+    }
+  }
+  std::vector<double> refNext(cells, 0.0);
+  refVolume(grid.nbrs.data(), prev.data(), curr.data(), refNext.data(),
+            grid.nx, grid.ny, grid.nz, params.l2());
+  refFiMmBoundary(grid.boundaryIndices.data(), grid.nbrs.data(),
+                  grid.material.data(), beta.data(), prev.data(),
+                  refNext.data(), static_cast<std::int64_t>(grid.boundaryPoints()),
+                  params.l());
+
+  Listing5 l5;
+  l5.prog.toHost(l5.prev1G, "curr_h");
+  ocl::Context ctx;
+  auto compiled = l5.prog.compile(ctx, ir::ScalarKind::Double);
+  bindListing5Inputs(*compiled, grid, curr, prev, beta, params);
+  std::vector<double> currBack(cells, -1.0);
+  EXPECT_THROW(compiled->bindOutput("next_H", currBack.data(),
+                                    cells * sizeof(double)),
+               Error);
+  compiled->bindOutput("curr_h", currBack.data(), cells * sizeof(double));
+
+  compiled->run();
+  EXPECT_EQ(currBack, curr);
+  std::vector<double> next(cells, 0.0);
+  compiled->deviceBuffer(l5.updated)
+      ->read(next.data(), cells * sizeof(double), 0);
+  EXPECT_EQ(next, refNext);
 }
 
 TEST(HostProgram, GeneratedHostCodeMatchesTableIShapes) {

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "acoustics/simulation.hpp"
 #include "common/error.hpp"
+#include "ocl/compile_queue.hpp"
 
 namespace lifta::lift_acoustics {
 namespace {
@@ -382,6 +385,185 @@ TEST(DeviceSimulation, AutotunedFissionStaysBitIdentical) {
   picked.addImpulse(7, 6, 5, 1.0);
   const auto pickedRec = picked.record(40, 4, 4, 4);
   EXPECT_EQ(plainRec, pickedRec);
+}
+
+TEST(DeviceSimulation, AutotuneSkipsLaunchesWhoseCandidatesLaunchAlike) {
+  // Every boundary launch of this box has at most ~1,300 points, under 64
+  // chunks of 64, so the launch rule gives every candidate the same shrunk
+  // work-group on any pool: those launches keep their default. The
+  // 40,800-cell volume launch has distinct candidates on pools of up to
+  // 10 threads, so it is tuned, and the result must not move.
+  Room room{RoomShape::Box, 40, 34, 30};
+  DeviceSimulation::Config cfg;
+  cfg.room = room;
+  cfg.model = DeviceModel::FdMm;
+  cfg.numMaterials = 2;
+  cfg.numBranches = 2;
+  cfg.boundarySchedule = BoundarySchedule::Fission;
+  DeviceSimulation plain(sharedContext(), cfg);
+  plain.addImpulse(20, 17, 15, 1.0);
+  const auto plainRec = plain.record(20, 6, 6, 6);
+
+  cfg.autoTuneLocalSize = true;
+  DeviceSimulation tuned(sharedContext(), cfg);
+  ASSERT_EQ(tuned.boundaryLaunchCount(), plain.boundaryLaunchCount());
+  for (std::size_t k = 0; k < tuned.boundaryLaunchCount(); ++k) {
+    EXPECT_EQ(tuned.boundaryLocalSize(k), plain.boundaryLocalSize(k))
+        << "launch " << k;
+  }
+  tuned.addImpulse(20, 17, 15, 1.0);
+  EXPECT_EQ(tuned.record(20, 6, 6, 6), plainRec);
+}
+
+// --- per-receiver readback -----------------------------------------------
+//
+// sample() reads one element of the last boundary launch's device buffer.
+// Receivers on every kind of cell pin that down: an interior cell alone
+// cannot tell the final field from the volume kernel's output, because no
+// boundary launch touches it.
+
+std::uint64_t bitsOf(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+/// The first cell in index order with `nbr` inside 6-neighbors.
+Receiver cellWithNbrs(const Room& room, const RoomGrid& g, int nbr) {
+  for (int z = 0; z < g.nz; ++z) {
+    for (int y = 0; y < g.ny; ++y) {
+      for (int x = 0; x < g.nx; ++x) {
+        if (g.nbrs[room.index(x, y, z)] == nbr) return {x, y, z};
+      }
+    }
+  }
+  ADD_FAILURE() << "no cell with " << nbr << " inside neighbours";
+  return {};
+}
+
+/// Interior, face, edge and corner cells of a box room. The corner cell is
+/// the one in the room's corner, next to three walls.
+std::vector<Receiver> readbackReceivers(const Room& room) {
+  const auto grid = voxelize(room, 1);
+  return {cellWithNbrs(room, grid, 6), cellWithNbrs(room, grid, 5),
+          cellWithNbrs(room, grid, 4), cellWithNbrs(room, grid, 3)};
+}
+
+constexpr int kReadbackSteps = 40;
+constexpr int kSwapStep = 10;
+
+/// Reference traces [receiver][step], widened to double.
+template <typename T>
+std::vector<std::vector<double>> referenceTraces(
+    const DeviceSimulation::Config& dev,
+    const std::vector<Receiver>& receivers) {
+  typename Simulation<T>::Config cfg;
+  cfg.room = dev.room;
+  cfg.params = dev.params;
+  cfg.model = dev.model == DeviceModel::FdMm ? BoundaryModel::FdMm
+                                             : BoundaryModel::FiMm;
+  cfg.numMaterials = dev.numMaterials;
+  cfg.numBranches = dev.model == DeviceModel::FdMm ? dev.numBranches : 0;
+  Simulation<T> ref(cfg);
+  ref.addImpulse(7, 6, 5, T(1));
+  const auto rec = ref.record(kReadbackSteps, receivers);
+  std::vector<std::vector<double>> out;
+  for (const auto& r : rec) out.emplace_back(r.begin(), r.end());
+  return out;
+}
+
+/// Device traces [receiver][step], every receiver sampled after every step.
+/// A Tiered run's background builds are held until step kSwapStep, so the
+/// hot-swap lands mid-trace at a known step.
+std::vector<std::vector<double>> deviceTraces(
+    const DeviceSimulation::Config& cfg,
+    const std::vector<Receiver>& receivers) {
+  const bool tiered = cfg.kernelTier == KernelTier::Tiered;
+  auto& queue = ocl::CompileQueue::instance();
+  if (tiered) queue.setPaused(true);
+  DeviceSimulation dev(sharedContext(), cfg);
+  dev.addImpulse(7, 6, 5, 1.0);
+  for (const auto& r : receivers) {
+    EXPECT_EQ(dev.sample(r.x, r.y, r.z), 0.0) << "before the first step";
+  }
+  std::vector<std::vector<double>> out(receivers.size());
+  for (int s = 0; s < kReadbackSteps; ++s) {
+    if (tiered && s == kSwapStep) {
+      EXPECT_EQ(dev.specializedKernels(), 0u);
+      queue.setPaused(false);
+      dev.waitForSpecialization();
+      EXPECT_EQ(dev.specializedKernels(), dev.totalKernels());
+    }
+    dev.step();
+    for (std::size_t r = 0; r < receivers.size(); ++r) {
+      out[r].push_back(
+          dev.sample(receivers[r].x, receivers[r].y, receivers[r].z));
+    }
+  }
+  if (tiered) {
+    EXPECT_EQ(dev.firstSwapStep(), kSwapStep);
+  }
+  return out;
+}
+
+DeviceSimulation::Config readbackConfig(DeviceModel model,
+                                        ir::ScalarKind precision,
+                                        BoundarySchedule schedule,
+                                        KernelTier tier) {
+  DeviceSimulation::Config cfg;
+  cfg.room = Room{RoomShape::Box, 14, 12, 10};
+  cfg.model = model;
+  cfg.numMaterials = 1;
+  cfg.numBranches = 2;
+  cfg.precision = precision;
+  cfg.boundarySchedule = schedule;
+  cfg.params.boundaryFissionMinPoints = 0;
+  cfg.kernelTier = tier;
+  return cfg;
+}
+
+void expectReadbackMatchesReference(const DeviceSimulation::Config& cfg) {
+  const std::string label =
+      std::string(cfg.model == DeviceModel::FdMm ? "FD-MM" : "FI-MM") +
+      (cfg.precision == ir::ScalarKind::Double ? " f64" : " f32") +
+      (cfg.boundarySchedule == BoundarySchedule::Fused ? " fused"
+                                                       : " fission") +
+      (cfg.kernelTier == KernelTier::Tiered ? " tiered" : "");
+  const auto receivers = readbackReceivers(cfg.room);
+  const auto ref = cfg.precision == ir::ScalarKind::Double
+                       ? referenceTraces<double>(cfg, receivers)
+                       : referenceTraces<float>(cfg, receivers);
+  const auto dev = deviceTraces(cfg, receivers);
+  const char* kinds[] = {"interior", "face", "edge", "corner"};
+  for (std::size_t r = 0; r < receivers.size(); ++r) {
+    for (int s = 0; s < kReadbackSteps; ++s) {
+      ASSERT_EQ(bitsOf(dev[r][s]), bitsOf(ref[r][s]))
+          << label << ", " << kinds[r] << " cell, step " << s << ": "
+          << dev[r][s] << " vs " << ref[r][s];
+    }
+  }
+}
+
+TEST(DeviceSimulation, SampleReadsEveryCellKindBitwiseBothSchedules) {
+  for (const auto model : {DeviceModel::FiMm, DeviceModel::FdMm}) {
+    for (const auto precision :
+         {ir::ScalarKind::Float, ir::ScalarKind::Double}) {
+      for (const auto schedule :
+           {BoundarySchedule::Fused, BoundarySchedule::Fission}) {
+        expectReadbackMatchesReference(
+            readbackConfig(model, precision, schedule, KernelTier::Generic));
+      }
+    }
+  }
+}
+
+TEST(DeviceSimulation, SampleReadsEveryCellKindBitwiseAcrossHotSwap) {
+  for (const auto precision :
+       {ir::ScalarKind::Float, ir::ScalarKind::Double}) {
+    expectReadbackMatchesReference(
+        readbackConfig(DeviceModel::FdMm, precision,
+                       BoundarySchedule::Fission, KernelTier::Tiered));
+  }
 }
 
 }  // namespace

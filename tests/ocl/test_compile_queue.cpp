@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,7 +16,8 @@ namespace lifta::ocl {
 namespace {
 
 std::string uniqueSource(const std::string& tag) {
-  static int counter = 0;
+  // Atomic: the stress test below calls this from eight threads.
+  static std::atomic<int> counter{0};
   return "// compile-queue-test " + tag + " " + std::to_string(++counter) +
          "\nextern \"C\" int lifta_queue_sym() { return 7; }\n";
 }

@@ -1,17 +1,22 @@
 // The content-addressed JIT cache: memory hits return the loaded object
 // without recompiling, the LRU evicts, the disk cache survives a memory
-// clear, flags are part of the key, and a failed compile leaves no
-// temporary files behind (regression for the old leak).
+// clear, flags are part of the key, a failed compile leaves no temporary
+// files behind (regression for the old leak), and a hung compiler is killed
+// at the compile deadline.
 #include "ocl/jit.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/error.hpp"
+#include "ocl/compile_queue.hpp"
 
 namespace lifta::ocl {
 namespace {
@@ -172,6 +177,99 @@ TEST(JitCache, FailedCompileThrowsWithLogAndLeavesNoTempFiles) {
     EXPECT_NE(std::string(e.what()).find("build failed"), std::string::npos);
   }
   EXPECT_EQ(entryCount(jit.scratchDir()), before);
+}
+
+// --- compiler deadline --------------------------------------------------------
+
+/// Points LIFTA_CXX at a fake compiler that answers --version but hangs on a
+/// build: it logs a line to its stderr (the build log), records its pid and
+/// sleeps far past the shortened deadline.
+class JitTimeout : public ::testing::Test {
+protected:
+  void SetUp() override {
+    const std::string tmpl =
+        (fs::temp_directory_path() / "lifta-hung-cxx-XXXXXX").string();
+    std::vector<char> buf(tmpl.begin(), tmpl.end());
+    buf.push_back('\0');
+    ASSERT_NE(mkdtemp(buf.data()), nullptr);
+    dir_ = buf.data();
+    const std::string script = dir_ + "/cxx.sh";
+    {
+      std::ofstream f(script);
+      f << "#!/bin/sh\n"
+           "if [ \"$1\" = \"--version\" ]; then echo hung-cxx; exit 0; fi\n"
+           "echo 'hung compiler started' >&2\n"
+           "echo $$ > '"
+        << dir_ << "/pid'\nexec sleep 60\n";
+    }
+    fs::permissions(script, fs::perms::owner_all);
+    ::setenv("LIFTA_CXX", script.c_str(), 1);
+    ::setenv("LIFTA_CXX_VERSION", "hung-cxx", 1);
+    // Long enough for the script to start and log under a loaded test
+    // run, far shorter than its sleep.
+    Jit::instance().setCompileTimeout(std::chrono::seconds(1));
+  }
+
+  void TearDown() override {
+    Jit::instance().setCompileTimeout(kDefaultCompileTimeout);
+    ::unsetenv("LIFTA_CXX");
+    ::unsetenv("LIFTA_CXX_VERSION");
+    std::error_code ec;
+    fs::remove_all(dir_, ec);
+  }
+
+  /// True once the fake compiler has died. The script runs under the
+  /// JIT's shell, so after the group kill it may linger briefly as a zombie
+  /// until its new parent reaps it; that counts as dead.
+  bool compilerGone() const {
+    std::ifstream f(dir_ + "/pid");
+    long pid = 0;
+    if (!(f >> pid) || pid <= 0) return false;
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    do {
+      std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+      std::string line;
+      if (!std::getline(stat, line)) return true;  // reaped
+      const auto close = line.rfind(')');
+      if (close != std::string::npos && close + 2 < line.size() &&
+          line[close + 2] == 'Z') {
+        return true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    } while (std::chrono::steady_clock::now() < until);
+    return false;
+  }
+
+  std::string dir_;
+};
+
+TEST_F(JitTimeout, HungCompilerIsKilledWithItsLogAndLeavesNoTempFiles) {
+  auto& jit = Jit::instance();
+  const auto before = entryCount(jit.scratchDir());
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    jit.compile(uniqueSource("hung"));
+    FAIL() << "expected OclError";
+  } catch (const OclError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("timed out"), std::string::npos) << what;
+    EXPECT_NE(what.find("hung compiler started"), std::string::npos) << what;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(20));
+  EXPECT_TRUE(compilerGone());
+  EXPECT_EQ(entryCount(jit.scratchDir()), before);
+}
+
+TEST_F(JitTimeout, HungCompilerFailsTheCompileQueueTicket) {
+  // The single background worker must come back: the ticket fails (so a
+  // tiered kernel stays generic) instead of blocking every later build.
+  auto& q = CompileQueue::instance();
+  auto t = q.submit(uniqueSource("hung-queue"));
+  EXPECT_EQ(q.wait(t), nullptr);
+  EXPECT_EQ(t->state(), CompileQueue::State::Failed);
+  EXPECT_NE(t->error().find("timed out"), std::string::npos) << t->error();
+  EXPECT_TRUE(compilerGone());
 }
 
 }  // namespace

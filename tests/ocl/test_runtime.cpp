@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 #include <vector>
 
@@ -227,6 +228,58 @@ TEST(OclRuntime, GeneratedKernelRunsEndToEnd) {
   std::vector<float> out(n);
   q.enqueueRead(*bufOut, out.data(), n * sizeof(float));
   for (int i = 0; i < n; ++i) ASSERT_FLOAT_EQ(out[i], i + 1.0f);
+}
+
+// Real Min/Max are the libm functions the generator emits. The preamble
+// includes no header, and in C++ an undeclared fmin is a compile error, so
+// they must build and run through the preamble's builtin wrappers in both
+// precisions.
+template <typename T>
+void expectGeneratedMinMaxRuns(ir::ScalarKind real) {
+  using namespace lifta::ir;
+  const std::vector<T> a{1.5, -2.0, 3.0, 7.25, -0.5};
+  const std::vector<T> b{0.5, -3.0, 3.0, 9.0, 4.0};
+  const int n = static_cast<int>(a.size());
+  const auto elem =
+      real == ScalarKind::Float ? Type::float_() : Type::double_();
+  Context ctx;
+  CommandQueue q(ctx);
+  for (const BinOp op : {BinOp::Min, BinOp::Max}) {
+    memory::KernelDef def;
+    def.name = op == BinOp::Min ? "gen_min" : "gen_max";
+    def.real = real;
+    auto pa = param("A", Type::array(elem, arith::Expr::var("N")));
+    auto pb = param("B", Type::array(elem, arith::Expr::var("N")));
+    auto nP = param("N", Type::int_());
+    auto p = param("p", nullptr);
+    def.params = {pa, pb, nP};
+    def.body = mapGlb(lambda({p}, binary(op, get(p, 0), get(p, 1))),
+                      zip({pa, pb}));
+    const auto gen = codegen::generateKernel(def);
+    Kernel k(ctx.buildProgram(gen.source), gen.name);
+    auto bufA = ctx.allocate(a.size() * sizeof(T));
+    auto bufB = ctx.allocate(b.size() * sizeof(T));
+    auto bufOut = ctx.allocate(a.size() * sizeof(T));
+    q.enqueueWrite(*bufA, a.data(), a.size() * sizeof(T));
+    q.enqueueWrite(*bufB, b.data(), b.size() * sizeof(T));
+    k.setArg(0, bufA);
+    k.setArg(1, bufB);
+    k.setArg(2, n);
+    k.setArg(3, bufOut);
+    q.enqueueNDRange(k, NDRange::linear(64, 64));
+    std::vector<T> out(a.size());
+    q.enqueueRead(*bufOut, out.data(), out.size() * sizeof(T));
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const T want =
+          op == BinOp::Min ? std::fmin(a[i], b[i]) : std::fmax(a[i], b[i]);
+      EXPECT_EQ(out[i], want) << def.name << " element " << i;
+    }
+  }
+}
+
+TEST(OclRuntime, GeneratedRealMinMaxRunWithoutHeaders) {
+  expectGeneratedMinMaxRuns<float>(ir::ScalarKind::Float);
+  expectGeneratedMinMaxRuns<double>(ir::ScalarKind::Double);
 }
 
 TEST(OclRuntime, TwoDimensionalNDRangeCoversAllItems) {
