@@ -206,7 +206,6 @@ CompiledHostProgram::CompiledHostProgram(HostProgram prog, ocl::Context& ctx,
     if (node->op != HOp::KernelCall) continue;
     KernelInstance inst;
     inst.node = node.get();
-    inst.localSize = node->kernel.localSize;
     if (node->kernel.def.has_value()) {
       auto def = *node->kernel.def;
       def.real = real_;
@@ -294,30 +293,6 @@ CompiledHostProgram::KernelInstance& CompiledHostProgram::instanceFor(
   return it->second;
 }
 
-const CompiledHostProgram::KernelInstance& CompiledHostProgram::instanceFor(
-    const HostPtr& node) const {
-  return const_cast<CompiledHostProgram*>(this)->instanceFor(node);
-}
-
-void CompiledHostProgram::setLocalSize(const HostPtr& node,
-                                       std::size_t local) {
-  LIFTA_CHECK(local > 0, "local size must be positive");
-  instanceFor(node).localSize = local;
-}
-
-std::size_t CompiledHostProgram::localSize(const HostPtr& node) const {
-  return instanceFor(node).localSize;
-}
-
-ocl::NDRange CompiledHostProgram::launchRange(const HostPtr& node,
-                                              std::size_t local) const {
-  const KernelInstance& inst = instanceFor(node);
-  const KernelSpec& spec = inst.node->kernel;
-  const auto n = static_cast<std::size_t>(ints_.at(spec.launchCountScalar));
-  return ocl::launchRange(n, inst.launchChunk, local, ctx_.pool(),
-                          spec.maxGlobal);
-}
-
 void CompiledHostProgram::replaceKernelProgram(
     const HostPtr& node, const codegen::GeneratedKernel& gen,
     ocl::ProgramPtr program) {
@@ -337,9 +312,8 @@ void CompiledHostProgram::replaceKernelProgram(
   inst.program = std::move(program);
   inst.entry = gen.name;
   inst.launchChunk = gen.preferredChunk;
-  // localSize (possibly autotuned) and all bound buffers/scalars carry
-  // over; evalDevice re-binds every argument each run, so the swap is
-  // complete at the next step boundary.
+  // All bound buffers/scalars carry over; evalDevice re-binds every
+  // argument each run, so the swap is complete at the next step boundary.
 }
 
 ocl::BufferPtr CompiledHostProgram::evalDevice(const HostPtr& node,
@@ -447,8 +421,11 @@ ocl::BufferPtr CompiledHostProgram::evalDevice(const HostPtr& node,
         inst.kernel->setArg(slot, out);
         deviceBuffers_[node.get()] = out;
       }
-      const auto ev =
-          q.enqueueNDRange(*inst.kernel, launchRange(node, inst.localSize));
+      const KernelSpec& spec = node->kernel;
+      const auto n = static_cast<std::size_t>(ints_.at(spec.launchCountScalar));
+      const auto ev = q.enqueueNDRange(
+          *inst.kernel, ocl::launchRange(n, inst.launchChunk, spec.localSize,
+                                         ctx_.pool(), spec.maxGlobal));
       stats.kernels.emplace_back(inst.entry, ev.milliseconds);
       inst.aliasOut = nullptr;  // reset per run
       if (!inst.hasOut) {

@@ -59,6 +59,8 @@ struct KernelSpec {
   /// element count. The NDRange comes from ocl::launchRange over it
   /// (grid-stride kernels tolerate any cap).
   std::string launchCountScalar;
+  /// Work-group size, an upper bound: launchRange shrinks the work-group of
+  /// a small chunk-scheduled launch so it reaches every pool thread.
   std::size_t localSize = 64;
   std::size_t maxGlobal = 1u << 16;
 
@@ -180,24 +182,12 @@ public:
   /// Replaces the buffer behind a node (e.g. prev/curr rotation).
   void setDeviceBuffer(const HostPtr& node, ocl::BufferPtr buffer);
 
-  /// Overrides the work-group size of one kernel call (accepts the
-  /// KernelCall node or a WriteTo wrapping it) — the hook the autotuner
-  /// drives. The KernelSpec default applies until this is called. It is an
-  /// upper bound: launchRange may launch a smaller work-group.
-  void setLocalSize(const HostPtr& node, std::size_t local);
-  std::size_t localSize(const HostPtr& node) const;
-  /// The NDRange run() launches this kernel call with at work-group size
-  /// `local`: ocl::launchRange over its bound launch count, which shrinks
-  /// the work-group of a small chunk-scheduled launch to reach every pool
-  /// thread.
-  ocl::NDRange launchRange(const HostPtr& node, std::size_t local) const;
-
   /// Hot-swaps the compiled program behind one generated kernel call
   /// (KernelCall node or WriteTo wrapping it) — the tiered-execution
   /// upgrade path. The replacement must share the original's ABI (same
-  /// memory plan and output convention; enforced); buffers, bound scalars
-  /// and any setLocalSize override carry over untouched, so the next run()
-  /// picks up the new code at a step boundary with bit-identical state.
+  /// memory plan and output convention; enforced); buffers and bound
+  /// scalars carry over untouched, so the next run() picks up the new code
+  /// at a step boundary with bit-identical state.
   void replaceKernelProgram(const HostPtr& node,
                             const codegen::GeneratedKernel& gen,
                             ocl::ProgramPtr program);
@@ -212,14 +202,12 @@ private:
     memory::MemoryPlan plan;   // generated kernels only
     bool generated = false;
     bool hasOut = false;
-    std::size_t localSize = 64;  // spec default; setLocalSize overrides
-    int launchChunk = 0;         // GeneratedKernel::preferredChunk
+    int launchChunk = 0;  // GeneratedKernel::preferredChunk
     ocl::BufferPtr outBuffer;  // fresh output (when !aliased)
     ocl::BufferPtr aliasOut;   // host WriteTo destination buffer
   };
 
   KernelInstance& instanceFor(const HostPtr& node);
-  const KernelInstance& instanceFor(const HostPtr& node) const;
 
   CompiledHostProgram(HostProgram prog, ocl::Context& ctx, ir::ScalarKind real,
                       const codegen::CodegenOptions& opts);
