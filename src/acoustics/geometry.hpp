@@ -58,7 +58,9 @@ std::vector<Room> paperRooms(RoomShape shape);
 
 /// Grid for a physical box room of interior size (lx, ly, lz) meters at
 /// grid spacing h (SimParams::h()): each dimension gets round(L/h) interior
-/// cells (at least 1) plus the two-cell halo. The hybrid ISM+FDTD tier and
+/// cells (at least 1) plus the two-cell halo. A room under about 1.5 h on
+/// every side maps to 3x3x3, which voxelize() refuses
+/// (hasIsolatedInsideCell). The hybrid ISM+FDTD tier and
 /// the batch dataset API use this to derive the FDTD grid from the same
 /// continuous room the image-source engine simulates.
 Room boxRoomFromMeters(double lx, double ly, double lz, double h);
@@ -229,6 +231,18 @@ inline constexpr std::size_t kDefaultVoxelCacheCapacity = 16;
 inline bool gridIndexableInt32(const Room& room) {
   return room.cells() <=
          static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max());
+}
+
+/// True when some inside cell of the room has no inside neighbour. Its
+/// neighbour count, 0, is also the outside marker, and the two tiers step
+/// such a cell differently, so voxelize() refuses the room. For all four
+/// shapes that is exactly the 3x3x3 room, whose one interior cell is
+/// inside; any wider room gives every inside cell an inside neighbour
+/// (Geometry.IsolatedInsideCellPredicateMatchesScan scans every shape). The
+/// job service reuses the guard to reject hybrid jobs whose derived grid
+/// voxelize() would refuse.
+inline bool hasIsolatedInsideCell(const Room& room) {
+  return room.nx == 3 && room.ny == 3 && room.nz == 3;
 }
 
 /// Fixed-width form of the interior-run plan for the generated run-table
