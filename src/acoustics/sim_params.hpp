@@ -41,7 +41,15 @@ struct SimParams {
   double l() const { return lambda; }
   double l2() const { return lambda * lambda; }
 
-  bool stable() const { return lambda <= 1.0 / std::sqrt(3.0) + 1e-12; }
+  /// 0 < lambda <= 1/sqrt(3): a non-positive Courant number has no grid
+  /// spacing (h = c*Ts/lambda), and past the limit the scheme diverges.
+  bool stable() const {
+    return lambda > 0.0 && lambda <= 1.0 / std::sqrt(3.0) + 1e-12;
+  }
 };
+
+/// The rejection message for a spec or config whose stable() is false.
+inline constexpr const char* kCourantRangeMessage =
+    "Courant number must be in (0, 1/sqrt(3)]";
 
 }  // namespace lifta::acoustics

@@ -22,8 +22,7 @@ const char* modelName(BoundaryModel m) {
 
 template <typename T>
 Simulation<T>::Simulation(Config config) : config_(std::move(config)) {
-  LIFTA_CHECK(config_.params.stable(),
-              "Courant number exceeds the 3D stability limit");
+  LIFTA_CHECK(config_.params.stable(), kCourantRangeMessage);
   LIFTA_CHECK(config_.numMaterials >= 1, "need at least one material");
   if (config_.model == BoundaryModel::FdMm) {
     LIFTA_CHECK(config_.numBranches >= 1 &&

@@ -111,7 +111,6 @@ std::vector<std::string> primedAtomsIn(const Expr& e,
 
 void boundsPass(const KernelAccessInfo& info, const AnalysisOptions& opts,
                 Report& report) {
-  if (!opts.boundsChecks) return;
   Prover p = buildProver(info, opts);
   for (const auto& a : info.accesses) {
     Prover::Result lower = p.proveGE0(a.index);
@@ -456,7 +455,6 @@ struct RaceChecker {
 
 void racePass(const KernelAccessInfo& info, const AnalysisOptions& opts,
               Report& report) {
-  if (!opts.raceChecks) return;
   if (!info.wiVar) return;  // fully sequential kernel
   if (info.wiCount.isConst() && info.wiCount.constValue() <= 1) return;
 

@@ -22,6 +22,10 @@ using view::ViewPtr;
 
 namespace {
 
+/// Minimum dim-0 items per work item under the optimizer's contiguous-chunk
+/// schedule for global loops.
+constexpr int kChunk = 64;
+
 bool isIdentifier(const std::string& s) {
   if (s.empty()) return false;
   if (!(std::isalpha(static_cast<unsigned char>(s[0])) || s[0] == '_')) {
@@ -64,14 +68,7 @@ bool containsDivMod(const arith::Expr& e) {
 class Emitter {
  public:
   Emitter(const memory::KernelDef& def, CodegenOptions opts)
-      : def_(def), opts_(opts) {
-    if (!opts_.optimize) {
-      opts_.simplify = false;
-      opts_.cse = false;
-      opts_.chunkSchedule = false;
-      opts_.restrictPointers = false;
-    }
-  }
+      : def_(def), opts_(opts) {}
 
   GeneratedKernel run() {
     checkPrecision();
@@ -99,7 +96,7 @@ class Emitter {
     LIFTA_CHECK(scopes_.size() == 1, "unbalanced codegen scopes");
     out.body = scopes_.front().text.str();
     out.optimized = opts_.optimize;
-    if (usedChunk_) out.preferredChunk = opts_.chunk;
+    if (usedChunk_) out.preferredChunk = kChunk;
     out.source = assemble(out);
     return out;
   }
@@ -283,12 +280,11 @@ class Emitter {
     return name;
   }
 
-  /// Prints an index expression. With CSE enabled the additive terms are
+  /// Prints an index expression (optimized path). The additive terms are
   /// partitioned by loop level; the cumulative partial sums invariant at
   /// each outer level become named locals hoisted to that level, so inner
   /// loops only add their own per-iteration terms to a precomputed base.
   std::string indexCode(const arith::Expr& e) {
-    if (!opts_.cse) return e.toString();
     if (e.isConst() || e.kind() == arith::Kind::Var) return e.toString();
     if (containsDivMod(e)) return e.toString();  // never lift a possible trap
 
@@ -329,11 +325,9 @@ class Emitter {
       g.adjusted = subst(g.adjusted);
       g.size = subst(g.size);
     }
-    if (opts_.simplify) {
-      a.index = analysis::simplifyIndex(a.index, prover_);
-      for (auto& g : a.guards) {
-        g.adjusted = analysis::simplifyIndex(g.adjusted, prover_);
-      }
+    a.index = analysis::simplifyIndex(a.index, prover_);
+    for (auto& g : a.guards) {
+      g.adjusted = analysis::simplifyIndex(g.adjusted, prover_);
     }
     std::string inner;
     switch (a.kind) {
@@ -350,10 +344,8 @@ class Emitter {
     if (forStore) return inner;
     // Innermost guard first so the ternaries nest naturally.
     for (auto it = a.guards.rbegin(); it != a.guards.rend(); ++it) {
-      analysis::GuardSides sides;
-      if (opts_.simplify) {
-        sides = analysis::proveGuardSides(it->adjusted, it->size, prover_);
-      }
+      const analysis::GuardSides sides =
+          analysis::proveGuardSides(it->adjusted, it->size, prover_);
       if (sides.proven()) continue;  // access provably in range
       const std::string adj = indexCode(it->adjusted);
       std::string cond;
@@ -832,7 +824,7 @@ class Emitter {
       iv = fresh("g");
       declareLocal(iv);
       const std::string d = std::to_string(n.mapDim);
-      if (opts_.chunkSchedule && n.mapDim == 0) {
+      if (opts_.optimize && n.mapDim == 0) {
         // Contiguous-chunk schedule: work item i covers the index range
         // [i*c, min((i+1)*c, len)) with c = max(ceil(len/gsz), chunk).
         // gsz*c >= len and the ranges are disjoint, so every launch
@@ -841,7 +833,7 @@ class Emitter {
         // dispatch overhead.
         usedChunk_ = true;
         const std::string len_s = len.toString();
-        const std::string c = std::to_string(opts_.chunk);
+        const std::string c = std::to_string(kChunk);
         stmt("const long " + iv + "_n = get_global_size(ctx, 0);");
         stmt("long " + iv + "_c = (" + len_s + " + " + iv + "_n - 1) / " +
              iv + "_n;");
@@ -910,7 +902,7 @@ class Emitter {
   void emitUnpack(const memory::MemoryPlan& plan) {
     // The kernel ABI never passes the same buffer through two array slots,
     // so the optimizer may promise the compiler non-aliasing pointers.
-    const std::string rq = opts_.restrictPointers ? "__restrict " : "";
+    const std::string rq = opts_.optimize ? "__restrict " : "";
     for (std::size_t i = 0; i < plan.args.size(); ++i) {
       const auto& a = plan.args[i];
       if (a.isArray) {
@@ -1032,12 +1024,12 @@ GeneratedKernel generateKernel(const memory::KernelDef& def,
   analysis::verifyKernel(def);
   // Translation validation: re-derive the optimizer's index simplification
   // and guard elimination on a store-summary level and prove the optimized
-  // emission equivalent to the unoptimized one. Only the simplify pass
-  // changes what the program computes (CSE/chunk/restrict are naming,
-  // schedule and ABI decisions), so the gate keys on it. Specialized
-  // kernels validate under the same substitution on both walks — the gate
-  // then covers the specialization pass too (DESIGN.md §12).
-  if (opts.optimize && opts.simplify) {
+  // emission equivalent to the unoptimized one. Only the simplification
+  // changes what the program computes (CSE, the chunk schedule and restrict
+  // are naming, schedule and ABI decisions). Specialized kernels validate
+  // under the same substitution on both walks — the gate then covers the
+  // specialization pass too (DESIGN.md §12).
+  if (opts.optimize) {
     analysis::verifyTranslation(def, opts.spec);
   }
   return out;

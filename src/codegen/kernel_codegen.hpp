@@ -30,23 +30,19 @@
 
 namespace lifta::codegen {
 
-/// Switches for the optimizer pipeline that runs between view resolution and
-/// C emission. All passes are value-preserving: optimized kernels produce
+/// Options for the generator. `optimize` picks between the paper-form
+/// generator and the optimizer pipeline that runs between view resolution
+/// and C emission: prover-backed index simplification and proven-guard
+/// elimination, named locals for shared index terms with loop-invariant
+/// terms hoisted per level, a contiguous-chunk schedule (at least 64 items
+/// per work item) for global dimension-0 loops, and __restrict on array
+/// arguments. Every pass is value-preserving: optimized kernels produce
 /// bit-identical outputs to the unoptimized generator (enforced by
 /// tests/codegen/test_codegen_opt.cpp). `fromEnv()` honours
 /// LIFTA_CODEGEN_OPT=0 as a global opt-out.
 struct CodegenOptions {
-  bool optimize = true;         // master switch; false reproduces the
-                                // pre-optimizer generator byte-for-byte
-  bool simplify = true;         // prover-backed index simplification +
-                                // proven-guard elimination
-  bool cse = true;              // named locals for shared index terms,
-                                // loop-invariant terms hoisted per level
-  bool chunkSchedule = true;    // contiguous-chunk work distribution for
-                                // global (Glb) dimension-0 loops
-  bool restrictPointers = true; // __restrict on array arguments
-  int chunk = 64;               // minimum items per work-item under
-                                // chunkSchedule
+  bool optimize = true;  // false reproduces the pre-optimizer generator
+                         // byte-for-byte
 
   /// Scalar parameters to bake as compile-time constants. Loop bounds,
   /// index algebra and pad guards re-simplify against the concrete values

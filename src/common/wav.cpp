@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "common/error.hpp"
+#include "common/file_io.hpp"
 
 namespace lifta {
 namespace {
@@ -49,12 +50,7 @@ void writeWav(const std::string& path, const std::vector<double>& samples,
     const auto q = static_cast<std::int16_t>(std::lrint(clamped * 32767.0));
     put16(out, static_cast<std::uint16_t>(q));
   }
-
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) throw Error("cannot open for writing: " + path);
-  const std::size_t written = std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
-  if (written != out.size()) throw Error("short write: " + path);
+  writeFileBytes(path, out);
 }
 
 WavData readWav(const std::string& path) {

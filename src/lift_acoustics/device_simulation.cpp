@@ -87,7 +87,7 @@ constexpr int kSegmentWidth = 64;
 DeviceSimulation::DeviceSimulation(ocl::Context& ctx, Config config)
     : config_(std::move(config)), ctx_(&ctx) {
   const bool fdmm = config_.model == DeviceModel::FdMm;
-  LIFTA_CHECK(config_.params.stable(), "Courant number exceeds the limit");
+  LIFTA_CHECK(config_.params.stable(), acoustics::kCourantRangeMessage);
   LIFTA_CHECK(config_.numMaterials >= 1, "need at least one material");
   if (fdmm) {
     LIFTA_CHECK(config_.numBranches >= 1 &&
@@ -673,13 +673,32 @@ double DeviceSimulation::sample(int x, int y, int z) {
 }
 
 std::vector<double> DeviceSimulation::record(int n, int x, int y, int z) {
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    step();
-    out.push_back(sample(x, y, z));
+  std::vector<std::vector<double>> out;
+  record(n, {acoustics::Receiver{x, y, z}}, out, nullptr);
+  return std::move(out[0]);
+}
+
+int DeviceSimulation::record(int steps,
+                             const std::vector<acoustics::Receiver>& receivers,
+                             std::vector<std::vector<double>>& out,
+                             const std::atomic<bool>* cancel) {
+  LIFTA_CHECK(!receivers.empty(), "need at least one receiver");
+  LIFTA_CHECK(steps >= 0, "steps must be >= 0");
+  for (const auto& r : receivers) {
+    LIFTA_CHECK(config_.room.inside(r.x, r.y, r.z),
+                "receiver point is outside");
   }
-  return out;
+  out.assign(receivers.size(), {});
+  for (auto& trace : out) trace.reserve(static_cast<std::size_t>(steps));
+  int done = 0;
+  for (; done < steps; ++done) {
+    if (cancel != nullptr && cancel->load()) break;
+    step();
+    for (std::size_t r = 0; r < receivers.size(); ++r) {
+      out[r].push_back(sample(receivers[r].x, receivers[r].y, receivers[r].z));
+    }
+  }
+  return done;
 }
 
 }  // namespace lifta::lift_acoustics

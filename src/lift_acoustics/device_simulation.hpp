@@ -8,12 +8,14 @@
 // programs against; examples/concert_hall.cpp is a thin wrapper around it.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "acoustics/geometry.hpp"
 #include "acoustics/materials.hpp"
 #include "acoustics/sim_params.hpp"
+#include "acoustics/simulation.hpp"
 #include "host/host_program.hpp"
 #include "lift_acoustics/kernel_tier.hpp"
 
@@ -93,6 +95,14 @@ public:
 
   /// Steps `n` times recording the pressure at (x,y,z) after each step.
   std::vector<double> record(int n, int x, int y, int z);
+
+  /// Cancellable multi-receiver recording, with Simulation<T>::record's
+  /// contract: reads `cancel` (if non-null) before each step, stops at the
+  /// first step it finds it set, and returns the completed step count;
+  /// out[r] then holds exactly that many samples of receiver r.
+  int record(int steps, const std::vector<acoustics::Receiver>& receivers,
+             std::vector<std::vector<double>>& out,
+             const std::atomic<bool>* cancel);
 
   int stepsTaken() const { return steps_; }
   double totalVolumeMs() const { return volumeMs_; }

@@ -1,9 +1,9 @@
 #include "service/batch.hpp"
 
-#include <cstdio>
 #include <cstring>
 
 #include "common/error.hpp"
+#include "common/file_io.hpp"
 #include "common/json_writer.hpp"
 #include "common/stats.hpp"
 #include "common/string_util.hpp"
@@ -41,14 +41,6 @@ void putF32(std::vector<std::uint8_t>& out, float v) {
   out.push_back(static_cast<std::uint8_t>((bits >> 24) & 0xff));
 }
 
-void writeFile(const std::string& path, const std::vector<std::uint8_t>& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) throw Error("cannot open for writing: " + path);
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (written != bytes.size()) throw Error("short write: " + path);
-}
-
 }  // namespace
 
 std::vector<RirJobSpec> expandBatch(const BatchSpec& spec) {
@@ -74,27 +66,8 @@ std::vector<RirJobSpec> expandBatch(const BatchSpec& spec) {
     if (spec.fidelity == Fidelity::Fdtd) {
       job.tier = spec.fdtdTier;
       job.deviceKernelTier = spec.deviceKernelTier;
-      // Pure-FDTD batches discretize the sampled scene the same way the
-      // hybrid FDTD half does: box grid at params.h(), one mean-admittance
-      // material, cell-snapped source and receivers.
-      const double h = spec.params.h();
-      job.room = acoustics::boxRoomFromMeters(scene.room.lx, scene.room.ly,
-                                              scene.room.lz, h);
-      job.model = acoustics::BoundaryModel::FiMm;
-      job.numMaterials = 1;
-      double meanBeta = 0.0;
-      for (const double b : scene.wallBeta) meanBeta += b;
-      job.materials = {acoustics::Material{meanBeta / ism::kNumWalls, {}}};
-      job.sources.push_back(
-          {acoustics::cellForPosition(scene.source.x, h, job.room.nx),
-           acoustics::cellForPosition(scene.source.y, h, job.room.ny),
-           acoustics::cellForPosition(scene.source.z, h, job.room.nz), 1.0});
-      for (const auto& rx : scene.receivers) {
-        job.receivers.push_back(
-            {acoustics::cellForPosition(rx.x, h, job.room.nx),
-             acoustics::cellForPosition(rx.y, h, job.room.ny),
-             acoustics::cellForPosition(rx.z, h, job.room.nz)});
-      }
+      // Pure-FDTD batches step the grid a hybrid job's FDTD half steps.
+      discretizeScene(job);
     }
     jobs.push_back(std::move(job));
   }
@@ -152,7 +125,7 @@ BatchResult runRirBatch(RirService& svc, const BatchSpec& spec) {
       if (scenesInShard == 0) return;
       const std::string path =
           strformat("%s/shard_%05d.f32", spec.outDir.c_str(), shardIndex);
-      writeFile(path, shard);
+      writeFileBytes(path, shard);
       out.shardPaths.push_back(path);
       shard.clear();
       scenesInShard = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -91,7 +92,8 @@ std::string validateIsm(const RirJobSpec& spec) {
   if (spec.tier == JobTier::Device) {
     return "ISM/hybrid fidelities are reference-tier only";
   }
-  if (!spec.checkpointPath.empty() || !spec.resumeFrom.empty()) {
+  if (!spec.checkpointPath.empty() || spec.checkpointEverySteps != 0 ||
+      !spec.resumeFrom.empty()) {
     return "checkpoint/resume is FDTD-fidelity only";
   }
   if (p.room.lx <= 0.0 || p.room.ly <= 0.0 || p.room.lz <= 0.0) {
@@ -120,9 +122,6 @@ std::string validateIsm(const RirJobSpec& spec) {
           p.crossoverEnd <= spec.steps)) {
       return "hybrid crossover must satisfy 0 <= start < end <= steps";
     }
-    if (!spec.params.stable()) {
-      return "Courant number exceeds the 3D stability limit";
-    }
     const acoustics::Room grid = hybridGridRoom(spec);
     if (!acoustics::gridIndexableInt32(grid)) {
       return "hybrid FDTD grid has more cells than int32 indices can address";
@@ -137,6 +136,30 @@ std::string validateIsm(const RirJobSpec& spec) {
 
 }  // namespace
 
+void discretizeScene(RirJobSpec& spec) {
+  // The grid voxelizer has no per-wall material map, so the grid carries
+  // one FI-MM material whose admittance is the mean of the per-wall ones.
+  const double h = spec.params.h();
+  const IsmJobParams& scene = spec.ism;
+  spec.room = hybridGridRoom(spec);
+  spec.model = BoundaryModel::FiMm;
+  spec.numMaterials = 1;
+  spec.numBranches = 0;
+  double meanBeta = 0.0;
+  for (const double b : scene.wallBeta) meanBeta += b;
+  spec.materials = {acoustics::Material{meanBeta / ism::kNumWalls, {}}};
+  const auto cell = [&](const ism::Vec3& p) {
+    return acoustics::Receiver{
+        acoustics::cellForPosition(p.x, h, spec.room.nx),
+        acoustics::cellForPosition(p.y, h, spec.room.ny),
+        acoustics::cellForPosition(p.z, h, spec.room.nz)};
+  };
+  const acoustics::Receiver src = cell(scene.source);
+  spec.sources = {Source{src.x, src.y, src.z, 1.0}};
+  spec.receivers.clear();
+  for (const auto& rx : scene.receivers) spec.receivers.push_back(cell(rx));
+}
+
 std::string RirService::validate(const RirJobSpec& spec) {
   const auto& room = spec.room;
   if (spec.steps < 1) return "steps must be >= 1";
@@ -144,6 +167,10 @@ std::string RirService::validate(const RirJobSpec& spec) {
   if (spec.params.tileZ < 1) return "params.tileZ must be >= 1";
   if (spec.params.sampleRate <= 0.0) return "sample rate must be positive";
   if (spec.params.c <= 0.0) return "speed of sound must be positive";
+  // Before anything derives the grid spacing h = c*Ts/lambda from it.
+  if (spec.fidelity != Fidelity::Ism && !spec.params.stable()) {
+    return acoustics::kCourantRangeMessage;
+  }
   if (spec.fidelity != Fidelity::Fdtd) return validateIsm(spec);
   if (room.nx < 3 || room.ny < 3 || room.nz < 3) {
     return "room must be at least 3 cells in every dimension";
@@ -151,9 +178,6 @@ std::string RirService::validate(const RirJobSpec& spec) {
   // The int32-overflow guard of voxelize(), applied before any allocation.
   if (!acoustics::gridIndexableInt32(room)) {
     return "grid has more cells than int32 flat indices can address";
-  }
-  if (!spec.params.stable()) {
-    return "Courant number exceeds the 3D stability limit";
   }
   if (spec.numMaterials < 1) return "need at least one material";
   // An empty list means the default palette; a short one leaves material
@@ -279,8 +303,6 @@ RirService::RirService() : RirService(Config{}) {}
 RirService::RirService(Config config) : config_(config) {
   LIFTA_CHECK(config_.workers >= 1, "service needs at least one worker");
   LIFTA_CHECK(config_.memoryBudgetBytes > 0, "memory budget must be > 0");
-  LIFTA_CHECK(config_.cancelCheckEverySteps >= 1,
-              "cancelCheckEverySteps must be >= 1");
   stepPool_ = config_.stepPool != nullptr ? config_.stepPool
                                           : &ThreadPool::global();
   const auto voxel = acoustics::voxelCacheStats();
@@ -476,17 +498,25 @@ void RirService::executorLoop() {
 // job.result.status for finalize().
 void RirService::runJob(Job& job) {
   try {
+    JobStatus end;
     if (job.spec.fidelity == Fidelity::Ism) {
-      runIsmJob(job);
+      end = runIsmJob(job);
     } else if (job.spec.fidelity == Fidelity::Hybrid) {
-      runHybridJob(job);
+      end = runHybridJob(job);
     } else if (job.spec.tier == JobTier::Device) {
-      runDeviceJob(job);
+      end = runDeviceJob(job);
     } else if (job.spec.precision == JobPrecision::Float32) {
-      runReferenceJob<float>(job);
+      end = runReferenceJob<float>(job, job.spec, job.result.traces);
     } else {
-      runReferenceJob<double>(job);
+      end = runReferenceJob<double>(job, job.spec, job.result.traces);
     }
+    if (job.result.runMs > 0.0) {
+      job.result.mcellsPerSecond = static_cast<double>(job.insideCells) *
+                                   job.result.stepsDone /
+                                   (job.result.runMs * 1e3);
+    }
+    if (end == JobStatus::Done) exportWavs(job);
+    job.result.status = end;
   } catch (const std::exception& e) {
     job.result.error = e.what();
     job.result.status = JobStatus::Failed;
@@ -498,32 +528,20 @@ bool RirService::deadlineExpired(const Job& job) const {
          msSince(job.submitTime) >= job.spec.timeoutMs;
 }
 
-template <typename T>
-void RirService::runReferenceJob(Job& job) {
+template <typename Sim>
+JobStatus RirService::stepFdtd(Job& job, Sim& sim,
+                               const std::vector<acoustics::Receiver>& receivers,
+                               std::vector<std::vector<double>>& traces) {
   const RirJobSpec& spec = job.spec;
-  typename acoustics::Simulation<T>::Config cfg;
-  cfg.room = spec.room;
-  cfg.params = spec.params;
-  cfg.model = spec.model;
-  cfg.numMaterials = spec.numMaterials;
-  cfg.numBranches = spec.numBranches;
-  cfg.materials = spec.materials;
-  cfg.pool = stepPool_;
-  acoustics::Simulation<T> sim(cfg);
-  job.insideCells = sim.grid().insideCells;
-
-  if (!spec.resumeFrom.empty()) {
-    // The original run already injected the sources; restore reproduces
-    // the field as of the checkpointed step.
-    restoreCheckpoint(sim, spec.resumeFrom);
-  } else {
-    for (const auto& s : spec.sources) {
-      sim.addImpulse(s.x, s.y, s.z, static_cast<T>(s.amplitude));
+  const int every = spec.checkpointEverySteps;
+  // validate() admits checkpoints on reference-tier FDTD jobs only.
+  const auto checkpoint = [&] {
+    if constexpr (!std::is_same_v<Sim, lift_acoustics::DeviceSimulation>) {
+      saveCheckpoint(sim, spec.checkpointPath);
     }
-  }
-  if (spec.profile) sim.enableProfiling();
-
-  job.result.traces.assign(spec.receivers.size(), {});
+  };
+  job.insideCells = sim.grid().insideCells;
+  traces.assign(receivers.size(), {});
   JobStatus end = JobStatus::Done;
   Timer runTimer;
   int done = sim.stepsTaken();
@@ -536,26 +554,18 @@ void RirService::runReferenceJob(Job& job) {
       end = JobStatus::TimedOut;
       break;
     }
-    // Cancellation takes effect at *task* granularity inside record() (the
-    // cancel flag is threaded into the stepper, which stops at the next
-    // step boundary while the in-flight graph drains), so chunking only
+    // record() reads the cancel flag before every step (the reference tier
+    // at task granularity, draining the in-flight graph), so chunking only
     // serves deadline precision and checkpoint cadence. Without either, a
-    // single record() call covers the remaining steps and the task-graph
-    // pipeline runs unbroken.
-    int chunk = spec.steps - done;
-    if (spec.timeoutMs > 0.0) {
-      chunk = std::min(chunk, config_.cancelCheckEverySteps);
-    }
-    if (spec.checkpointEverySteps > 0) {
-      chunk = std::min(
-          chunk, spec.checkpointEverySteps - done % spec.checkpointEverySteps);
-    }
-    std::vector<std::vector<T>> part;
-    const int did = sim.record(chunk, spec.receivers, part,
-                               &job.cancelRequested);
+    // single record() call covers the remaining steps and the reference
+    // tier's task-graph pipeline runs unbroken.
+    int chunk = spec.timeoutMs > 0.0 ? 1 : spec.steps - done;
+    if (every > 0) chunk = std::min(chunk, every - done % every);
+    // T on the reference tier, double on the device.
+    std::vector<std::vector<decltype(sim.sample(0, 0, 0))>> part;
+    const int did = sim.record(chunk, receivers, part, &job.cancelRequested);
     for (std::size_t r = 0; r < part.size(); ++r) {
-      auto& trace = job.result.traces[r];
-      trace.insert(trace.end(), part[r].begin(), part[r].end());
+      traces[r].insert(traces[r].end(), part[r].begin(), part[r].end());
     }
     done += did;
     job.result.stepsDone += did;
@@ -563,24 +573,42 @@ void RirService::runReferenceJob(Job& job) {
       end = JobStatus::Cancelled;
       break;
     }
-    if (spec.checkpointEverySteps > 0 &&
-        done % spec.checkpointEverySteps == 0) {
-      saveCheckpoint(sim, spec.checkpointPath);
-    }
+    if (every > 0 && done % every == 0) checkpoint();
   }
-  if (end == JobStatus::Done && spec.checkpointEverySteps > 0 &&
-      done % spec.checkpointEverySteps != 0) {
-    saveCheckpoint(sim, spec.checkpointPath);  // final-step checkpoint
+  if (end == JobStatus::Done && every > 0 && done % every != 0) {
+    checkpoint();  // final-step checkpoint
   }
   job.result.runMs = runTimer.milliseconds();
-  if (job.result.runMs > 0.0) {
-    job.result.mcellsPerSecond = static_cast<double>(job.insideCells) *
-                                 job.result.stepsDone /
-                                 (job.result.runMs * 1e3);
+  return end;
+}
+
+template <typename T>
+JobStatus RirService::runReferenceJob(
+    Job& job, const RirJobSpec& spec,
+    std::vector<std::vector<double>>& traces) {
+  typename acoustics::Simulation<T>::Config cfg;
+  cfg.room = spec.room;
+  cfg.params = spec.params;
+  cfg.model = spec.model;
+  cfg.numMaterials = spec.numMaterials;
+  cfg.numBranches = spec.numBranches;
+  cfg.materials = spec.materials;
+  cfg.pool = stepPool_;
+  acoustics::Simulation<T> sim(cfg);
+
+  if (!spec.resumeFrom.empty()) {
+    // The original run already injected the sources; restore reproduces
+    // the field as of the checkpointed step.
+    restoreCheckpoint(sim, spec.resumeFrom);
+  } else {
+    for (const auto& s : spec.sources) {
+      sim.addImpulse(s.x, s.y, s.z, static_cast<T>(s.amplitude));
+    }
   }
+  if (spec.profile) sim.enableProfiling();
+  const JobStatus end = stepFdtd(job, sim, spec.receivers, traces);
   if (spec.profile) job.result.profile = sim.profile();
-  if (end == JobStatus::Done) exportWavs(job);
-  job.result.status = end;
+  return end;
 }
 
 lift_acoustics::DeviceSimulation::Config deviceConfigFromSpec(
@@ -601,7 +629,7 @@ lift_acoustics::DeviceSimulation::Config deviceConfigFromSpec(
   return cfg;
 }
 
-void RirService::runDeviceJob(Job& job) {
+JobStatus RirService::runDeviceJob(Job& job) {
   const RirJobSpec& spec = job.spec;
   // One JIT context shared by every device job; DeviceSimulation drives it
   // single-threadedly, so device-tier jobs serialize here.
@@ -610,50 +638,16 @@ void RirService::runDeviceJob(Job& job) {
 
   lift_acoustics::DeviceSimulation dev(*deviceContext_,
                                        deviceConfigFromSpec(spec));
-  job.insideCells = dev.grid().insideCells;
-
   for (const auto& s : spec.sources) {
     dev.addImpulse(s.x, s.y, s.z, s.amplitude);
   }
-
-  job.result.traces.assign(spec.receivers.size(), {});
-  JobStatus end = JobStatus::Done;
-  Timer runTimer;
-  int done = 0;
-  while (done < spec.steps) {
-    if (job.cancelRequested.load()) {
-      end = JobStatus::Cancelled;
-      break;
-    }
-    if (deadlineExpired(job)) {
-      end = JobStatus::TimedOut;
-      break;
-    }
-    const int chunk =
-        std::min(config_.cancelCheckEverySteps, spec.steps - done);
-    for (int i = 0; i < chunk; ++i) {
-      dev.step();
-      for (std::size_t r = 0; r < spec.receivers.size(); ++r) {
-        const auto& rx = spec.receivers[r];
-        job.result.traces[r].push_back(dev.sample(rx.x, rx.y, rx.z));
-      }
-    }
-    done += chunk;
-    job.result.stepsDone += chunk;
-  }
-  job.result.runMs = runTimer.milliseconds();
-  if (job.result.runMs > 0.0) {
-    job.result.mcellsPerSecond = static_cast<double>(job.insideCells) *
-                                 job.result.stepsDone /
-                                 (job.result.runMs * 1e3);
-  }
+  const JobStatus end = stepFdtd(job, dev, spec.receivers, job.result.traces);
   if (spec.deviceKernelTier != DeviceKernelTier::Generic) {
     job.deviceTiered = true;
     job.kernelsSpecialized = dev.specializedKernels();
     job.kernelsStayedGeneric = dev.totalKernels() - dev.specializedKernels();
   }
-  if (end == JobStatus::Done) exportWavs(job);
-  job.result.status = end;
+  return end;
 }
 
 namespace {
@@ -675,7 +669,7 @@ ism::IsmConfig ismConfigFromSpec(const RirJobSpec& spec) {
 
 }  // namespace
 
-void RirService::runIsmJob(Job& job) {
+JobStatus RirService::runIsmJob(Job& job) {
   const RirJobSpec& spec = job.spec;
   Timer runTimer;
   const ism::IsmEngine engine(ismConfigFromSpec(spec));
@@ -697,74 +691,20 @@ void RirService::runIsmJob(Job& job) {
   }
   if (end == JobStatus::Done) job.result.stepsDone = spec.steps;
   job.result.runMs = runTimer.milliseconds();
-  if (end == JobStatus::Done) exportWavs(job);
-  job.result.status = end;
+  return end;
 }
 
-void RirService::runHybridJob(Job& job) {
+JobStatus RirService::runHybridJob(Job& job) {
   const RirJobSpec& spec = job.spec;
   Timer runTimer;
   const ism::IsmEngine engine(ismConfigFromSpec(spec));
 
-  // FDTD half: a box grid over the same continuous room, stepped in double
-  // with the FI-MM model and one material whose admittance is the mean of
-  // the per-wall admittances (the grid voxelizer has no per-wall material
-  // map; the ISM side carries the per-wall detail).
-  const double h = spec.params.h();
-  acoustics::Simulation<double>::Config cfg;
-  cfg.room = hybridGridRoom(spec);
-  cfg.params = spec.params;
-  cfg.model = BoundaryModel::FiMm;
-  cfg.numMaterials = 1;
-  double meanBeta = 0.0;
-  for (const double b : spec.ism.wallBeta) meanBeta += b;
-  meanBeta /= ism::kNumWalls;
-  cfg.materials = {acoustics::Material{meanBeta, {}}};
-  cfg.pool = stepPool_;
-  acoustics::Simulation<double> sim(cfg);
-  job.insideCells = sim.grid().insideCells;
-
-  sim.addImpulse(
-      acoustics::cellForPosition(spec.ism.source.x, h, cfg.room.nx),
-      acoustics::cellForPosition(spec.ism.source.y, h, cfg.room.ny),
-      acoustics::cellForPosition(spec.ism.source.z, h, cfg.room.nz), 1.0);
-  std::vector<acoustics::Receiver> receivers;
-  receivers.reserve(spec.ism.receivers.size());
-  for (const auto& rx : spec.ism.receivers) {
-    receivers.push_back({acoustics::cellForPosition(rx.x, h, cfg.room.nx),
-                         acoustics::cellForPosition(rx.y, h, cfg.room.ny),
-                         acoustics::cellForPosition(rx.z, h, cfg.room.nz)});
-  }
-  if (spec.profile) sim.enableProfiling();
-
-  JobStatus end = JobStatus::Done;
-  std::vector<std::vector<double>> fdtd(receivers.size());
-  int done = 0;
-  while (done < spec.steps) {
-    if (job.cancelRequested.load()) {
-      end = JobStatus::Cancelled;
-      break;
-    }
-    if (deadlineExpired(job)) {
-      end = JobStatus::TimedOut;
-      break;
-    }
-    int chunk = spec.steps - done;
-    if (spec.timeoutMs > 0.0) {
-      chunk = std::min(chunk, config_.cancelCheckEverySteps);
-    }
-    std::vector<std::vector<double>> part;
-    const int did = sim.record(chunk, receivers, part, &job.cancelRequested);
-    for (std::size_t r = 0; r < part.size(); ++r) {
-      fdtd[r].insert(fdtd[r].end(), part[r].begin(), part[r].end());
-    }
-    done += did;
-    job.result.stepsDone += did;
-    if (did < chunk) {
-      end = JobStatus::Cancelled;
-      break;
-    }
-  }
+  // FDTD half: the same continuous scene on a box grid (discretizeScene),
+  // stepped in double on the reference tier.
+  RirJobSpec fdtdSpec = spec;
+  discretizeScene(fdtdSpec);
+  std::vector<std::vector<double>> fdtd;
+  const JobStatus end = runReferenceJob<double>(job, fdtdSpec, fdtd);
 
   if (end != JobStatus::Done) {
     // An interrupted hybrid job returns the raw partial FDTD traces; the
@@ -773,9 +713,9 @@ void RirService::runHybridJob(Job& job) {
   } else {
     const ism::CrossoverSpec window{spec.ism.crossoverStart,
                                     spec.ism.crossoverEnd};
-    job.result.traces.assign(receivers.size(), {});
-    job.result.spliceEnergyRatio.assign(receivers.size(), 0.0);
-    for (std::size_t r = 0; r < receivers.size(); ++r) {
+    job.result.traces.assign(fdtd.size(), {});
+    job.result.spliceEnergyRatio.assign(fdtd.size(), 0.0);
+    for (std::size_t r = 0; r < fdtd.size(); ++r) {
       ism::HybridStats stats;
       job.result.traces[r] =
           ism::stitchHybrid(engine.renderReceiver(r), fdtd[r], window,
@@ -784,15 +724,10 @@ void RirService::runHybridJob(Job& job) {
       job.imageRenders += engine.images().size();
     }
   }
+  // Hybrid runMs spans the whole runner (ISM, FDTD and stitch), replacing
+  // the stepping-loop time runReferenceJob recorded.
   job.result.runMs = runTimer.milliseconds();
-  if (job.result.runMs > 0.0) {
-    job.result.mcellsPerSecond = static_cast<double>(job.insideCells) *
-                                 job.result.stepsDone /
-                                 (job.result.runMs * 1e3);
-  }
-  if (spec.profile) job.result.profile = sim.profile();
-  if (end == JobStatus::Done) exportWavs(job);
-  job.result.status = end;
+  return end;
 }
 
 void RirService::exportWavs(Job& job) {
@@ -904,8 +839,5 @@ std::string ServiceMetrics::toJson() const {
   json.endObject();
   return json.str();
 }
-
-template void RirService::runReferenceJob<float>(Job&);
-template void RirService::runReferenceJob<double>(Job&);
 
 }  // namespace lifta::service

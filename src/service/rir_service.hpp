@@ -72,8 +72,8 @@ inline constexpr int kNumFidelities = 3;
 /// Continuous-domain job description for the ISM and hybrid fidelities.
 /// Positions are meters from the room's minimum corner. For Hybrid jobs the
 /// FDTD grid, source and receiver cells are derived from these fields at
-/// the job's grid spacing (params.h()); the grid-domain RirJobSpec fields
-/// (room, sources, receivers) are ignored for non-Fdtd fidelities.
+/// the job's grid spacing (discretizeScene); the grid-domain RirJobSpec
+/// fields (room, sources, receivers) are ignored for non-Fdtd fidelities.
 struct IsmJobParams {
   ism::ShoeboxRoom room;
   ism::Vec3 source;
@@ -145,6 +145,13 @@ struct RirJobSpec {
   /// job then continues to `steps` total.
   std::string resumeFrom;
 };
+
+/// Fills the grid-domain fields of `spec` from `spec.ism`: a box grid over
+/// the room at params.h(), the FI-MM model with one material whose
+/// admittance is the mean wall admittance, and the source (amplitude 1) and
+/// receivers snapped to cells. This is the FDTD half of a hybrid job and
+/// the job an Fdtd batch scene expands to.
+void discretizeScene(RirJobSpec& spec);
 
 enum class JobStatus {
   Queued,
@@ -272,8 +279,6 @@ public:
     /// Shared stepping pool for every job's intra-step parallelism;
     /// nullptr = the process-wide pool.
     ThreadPool* stepPool = nullptr;
-    /// Cancellation/deadline/checkpoint check cadence, in steps.
-    int cancelCheckEverySteps = 1;
   };
 
   explicit RirService(Config config);
@@ -323,11 +328,25 @@ private:
 
   void executorLoop();
   void runJob(Job& job);
+  // The runners below return the job's end state (Done, Cancelled or
+  // TimedOut); runJob finishes every job the same way from there.
+  /// Steps a reference-tier Simulation<T> for `spec`, which is job.spec or,
+  /// for a hybrid job, its discretized copy; the traces land in `traces`.
   template <typename T>
-  void runReferenceJob(Job& job);
-  void runDeviceJob(Job& job);
-  void runIsmJob(Job& job);
-  void runHybridJob(Job& job);
+  JobStatus runReferenceJob(Job& job, const RirJobSpec& spec,
+                            std::vector<std::vector<double>>& traces);
+  JobStatus runDeviceJob(Job& job);
+  JobStatus runIsmJob(Job& job);
+  JobStatus runHybridJob(Job& job);
+  /// The one FDTD stepping loop, for both tiers: steps `sim` to
+  /// job.spec.steps recording `receivers` into `traces`, with cancellation
+  /// read before every step, the deadline between chunks (every step when
+  /// one is set) and reference-tier checkpoints at their cadence. Sets
+  /// job.insideCells, result.stepsDone and result.runMs (the loop's time).
+  template <typename Sim>
+  JobStatus stepFdtd(Job& job, Sim& sim,
+                     const std::vector<acoustics::Receiver>& receivers,
+                     std::vector<std::vector<double>>& traces);
   void finalize(Job& job, JobStatus status);
   void exportWavs(Job& job);
   bool deadlineExpired(const Job& job) const;

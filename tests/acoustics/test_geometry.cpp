@@ -452,7 +452,9 @@ TEST(Geometry, PlanBoundaryLaunchesInvariantsAllShapes) {
       for (std::size_t k = 0; k < launches.size(); ++k) {
         const auto& l = launches[k];
         ASSERT_LT(l.begin, l.end);
-        if (k > 0) EXPECT_EQ(l.begin, launches[k - 1].end);
+        if (k > 0) {
+          EXPECT_EQ(l.begin, launches[k - 1].end);
+        }
         EXPECT_EQ(l.begin,
                   cp.classBegin[static_cast<std::size_t>(l.classFirst)]);
         EXPECT_EQ(l.end,

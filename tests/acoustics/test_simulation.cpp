@@ -250,6 +250,16 @@ TEST(Simulation, UnstableCourantRejected) {
   EXPECT_THROW(Simulation<double> sim(cfg), Error);
 }
 
+// A non-positive Courant number has no grid spacing (h = c*Ts/lambda);
+// with lambda = 0 the scheme ran and recorded silence.
+TEST(Simulation, NonPositiveCourantRejected) {
+  auto cfg = smallBox<double>(BoundaryModel::FusedFi);
+  for (const double lambda : {0.0, -0.3}) {
+    cfg.params.lambda = lambda;
+    EXPECT_THROW(Simulation<double> sim(cfg), Error) << lambda;
+  }
+}
+
 // The stepper against the listing oracle (listing_oracle.hpp): its
 // interior-run volume and topology-class boundary kernels, scheduled as a
 // task graph, must reproduce the listings' lookup volume and flat boundary

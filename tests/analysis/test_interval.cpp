@@ -257,7 +257,9 @@ TEST(Interval, DifferenceBoundCouplesTwoVariables) {
   // The bound is inexact by design: violations inside the band must never
   // come back as exact "No" witnesses.
   const auto r = p.proveGE0(v("g") - v("gp"));
-  if (r.proof == Proof::No) EXPECT_FALSE(r.exact);
+  if (r.proof == Proof::No) {
+    EXPECT_FALSE(r.exact);
+  }
 }
 
 TEST(Interval, DifferenceBoundDoesNotLeakToUnrelatedVars) {

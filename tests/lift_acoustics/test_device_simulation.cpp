@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "acoustics/simulation.hpp"
 #include "common/error.hpp"
@@ -264,6 +266,49 @@ TEST(DeviceSimulation, RejectsConfigsTheReferenceTierRejects) {
   }
 }
 
+TEST(DeviceSimulation, RejectsNonPositiveCourantNumber) {
+  DeviceSimulation::Config cfg;
+  cfg.room = Room{RoomShape::Box, 10, 10, 10};
+  for (const double lambda : {0.0, -0.3}) {
+    cfg.params.lambda = lambda;
+    EXPECT_THROW(DeviceSimulation(sharedContext(), cfg), Error) << lambda;
+  }
+}
+
+// The cancellable multi-receiver record samples every receiver after each
+// step, bit-identically to one single-receiver record per receiver, and
+// reads the cancel flag before the first step.
+TEST(DeviceSimulation, MultiReceiverRecordMatchesSingleReceiverRecords) {
+  DeviceSimulation::Config cfg;
+  cfg.room = Room{RoomShape::Dome, 16, 14, 12};
+  cfg.model = DeviceModel::FdMm;
+  cfg.numMaterials = 2;
+  const std::vector<Receiver> receivers = {{5, 5, 5}, {10, 8, 6}, {8, 7, 6}};
+  const std::atomic<bool> notCancelled{false};
+  DeviceSimulation multi(sharedContext(), cfg);
+  multi.addImpulse(8, 7, 6, 1.0);
+  std::vector<std::vector<double>> out;
+  ASSERT_EQ(multi.record(40, receivers, out, &notCancelled), 40);
+  ASSERT_EQ(out.size(), receivers.size());
+  for (std::size_t r = 0; r < receivers.size(); ++r) {
+    DeviceSimulation single(sharedContext(), cfg);
+    single.addImpulse(8, 7, 6, 1.0);
+    const auto rec =
+        single.record(40, receivers[r].x, receivers[r].y, receivers[r].z);
+    ASSERT_EQ(out[r].size(), rec.size());
+    for (std::size_t s = 0; s < rec.size(); ++s) {
+      ASSERT_EQ(out[r][s], rec[s]) << "receiver " << r << " step " << s;
+    }
+  }
+
+  const std::atomic<bool> cancelled{true};
+  DeviceSimulation stopped(sharedContext(), cfg);
+  EXPECT_EQ(stopped.record(40, receivers, out, &cancelled), 0);
+  EXPECT_EQ(stopped.stepsTaken(), 0);
+  ASSERT_EQ(out.size(), receivers.size());
+  for (const auto& trace : out) EXPECT_TRUE(trace.empty());
+}
+
 TEST(DeviceSimulation, FissionScheduleTracksReferenceBitwise) {
   // Forced per-class boundary fission (minPoints = 0: one generated kernel
   // per non-empty topology class) must still track the reference CPU
@@ -342,7 +387,9 @@ TEST(DeviceSimulation, FissionLaunchPlanCoversWholeBoundarySet) {
     // Pure fission: every launch is one class, so a face/edge launch is
     // branch-free (fixedNbr >= 4) and only the corner launch may mix.
     EXPECT_EQ(l.classFirst, l.classLast);
-    if (l.classFirst < kBoundaryClassCorner) EXPECT_GE(l.fixedNbr, 4);
+    if (l.classFirst < kBoundaryClassCorner) {
+      EXPECT_GE(l.fixedNbr, 4);
+    }
   }
   EXPECT_EQ(expectBegin,
             static_cast<std::int32_t>(dev.grid().boundaryPoints()));

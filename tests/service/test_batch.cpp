@@ -235,6 +235,20 @@ TEST(Batch, EngineCountersTrackFidelities) {
   EXPECT_NE(json.find("\"image_renders\""), std::string::npos) << json;
 }
 
+// A shard that cannot be written fails the batch. /dev/full accepts the
+// open and the buffered write, and refuses the flush in fclose; the one
+// 3200-byte shard here fits the stdio buffer, so only fclose sees it.
+TEST(Batch, ShardWriteErrorThrows) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string dir = freshDir("dev_full");
+  fs::create_symlink("/dev/full", dir + "/shard_00000.f32");
+  auto spec = smallIsmBatch(dir);
+  spec.scenes = 1;
+  RirService svc;
+  EXPECT_THROW(runRirBatch(svc, spec), Error);
+  fs::remove_all(dir);
+}
+
 TEST(Batch, RejectsMalformedSpecs) {
   BatchSpec bad;
   bad.scenes = 0;

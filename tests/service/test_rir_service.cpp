@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -89,7 +91,6 @@ TEST(RirService, Float32JobRunsAndRecords) {
 TEST(RirService, PriorityOrderHighJumpsQueue) {
   RirService::Config cfg;
   cfg.workers = 1;
-  cfg.cancelCheckEverySteps = 4;
   RirService svc(cfg);
 
   // Occupy the single executor long enough that both later jobs queue.
@@ -115,7 +116,6 @@ TEST(RirService, PriorityOrderHighJumpsQueue) {
 TEST(RirService, FifoWithinEqualPriority) {
   RirService::Config cfg;
   cfg.workers = 1;
-  cfg.cancelCheckEverySteps = 4;
   RirService svc(cfg);
   const auto idBlocker = svc.submit(smallSpec(BoundaryModel::FiMm, 2'000'000));
   waitUntilRunning(svc, idBlocker);
@@ -129,7 +129,6 @@ TEST(RirService, FifoWithinEqualPriority) {
 TEST(RirService, CancelQueuedJobFreesSlotAndQueueDrains) {
   RirService::Config cfg;
   cfg.workers = 1;
-  cfg.cancelCheckEverySteps = 4;
   RirService svc(cfg);
   const auto idBlocker = svc.submit(smallSpec(BoundaryModel::FiMm, 2'000'000));
   waitUntilRunning(svc, idBlocker);
@@ -160,7 +159,6 @@ TEST(RirService, CancelQueuedJobFreesSlotAndQueueDrains) {
 TEST(RirService, CancelRunningJobStopsAtStepGranularity) {
   RirService::Config cfg;
   cfg.workers = 1;
-  cfg.cancelCheckEverySteps = 2;
   RirService svc(cfg);
   const auto id = svc.submit(smallSpec(BoundaryModel::FiMm, 2'000'000));
   waitUntilRunning(svc, id);
@@ -176,7 +174,6 @@ TEST(RirService, CancelRunningJobStopsAtStepGranularity) {
 TEST(RirService, DeadlineExpiresMidRun) {
   RirService::Config cfg;
   cfg.workers = 1;
-  cfg.cancelCheckEverySteps = 2;
   RirService svc(cfg);
   auto spec = smallSpec(BoundaryModel::FiMm, 2'000'000);
   spec.timeoutMs = 5.0;
@@ -189,7 +186,6 @@ TEST(RirService, DeadlineExpiresMidRun) {
 TEST(RirService, DeadlineExpiresWhileQueued) {
   RirService::Config cfg;
   cfg.workers = 1;
-  cfg.cancelCheckEverySteps = 4;
   RirService svc(cfg);
   const auto idBlocker = svc.submit(smallSpec(BoundaryModel::FiMm, 2'000'000));
   waitUntilRunning(svc, idBlocker);
@@ -201,6 +197,44 @@ TEST(RirService, DeadlineExpiresWhileQueued) {
   const RirResult r = svc.wait(idLate);
   EXPECT_EQ(r.status, JobStatus::TimedOut);
   EXPECT_EQ(r.stepsDone, 0);
+}
+
+// The device tier steps through the same loop: a running job stops at its
+// next step once cancelled and keeps exactly the samples of the steps it
+// ran.
+TEST(RirService, CancelRunningDeviceJobKeepsStepsDoneSamples) {
+  RirService::Config cfg;
+  cfg.workers = 1;
+  RirService svc(cfg);
+  auto spec = smallSpec(BoundaryModel::FiMm, 500'000);
+  spec.tier = JobTier::Device;
+  const auto id = svc.submit(spec);
+  waitUntilRunning(svc, id);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_TRUE(svc.cancel(id));
+  const RirResult r = svc.wait(id);
+  EXPECT_EQ(r.status, JobStatus::Cancelled);
+  EXPECT_LT(r.stepsDone, spec.steps);
+  ASSERT_EQ(r.traces.size(), spec.receivers.size());
+  for (const auto& trace : r.traces) {
+    EXPECT_EQ(trace.size(), static_cast<std::size_t>(r.stepsDone));
+  }
+}
+
+TEST(RirService, DeviceJobDeadlineExpiresMidRun) {
+  RirService::Config cfg;
+  cfg.workers = 1;
+  RirService svc(cfg);
+  auto spec = smallSpec(BoundaryModel::FiMm, 500'000);
+  spec.tier = JobTier::Device;
+  spec.timeoutMs = 5.0;
+  const RirResult r = svc.wait(svc.submit(spec));
+  EXPECT_EQ(r.status, JobStatus::TimedOut);
+  EXPECT_LT(r.stepsDone, spec.steps);
+  for (const auto& trace : r.traces) {
+    EXPECT_EQ(trace.size(), static_cast<std::size_t>(r.stepsDone));
+  }
+  EXPECT_EQ(svc.metrics().timedOut, 1u);
 }
 
 TEST(RirService, MemoryBudgetBoundsConcurrentAdmission) {
@@ -364,6 +398,25 @@ TEST(RirService, ExportsOneWavPerReceiver) {
   }
 }
 
+// A WAV export that cannot be written fails the job and names the file.
+// /dev/full accepts the open and the buffered write, and refuses the flush
+// in fclose.
+TEST(RirService, WavWriteErrorFailsTheJob) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string dir = ::testing::TempDir() + "lifta_svc_wav_full";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/job1_rx0.wav";  // a fresh service's job 1
+  std::filesystem::create_symlink("/dev/full", path);
+  auto spec = smallSpec(BoundaryModel::FiMm, 20);
+  spec.wavDir = dir;
+  RirService svc;
+  const RirResult r = svc.wait(svc.submit(spec));
+  EXPECT_EQ(r.status, JobStatus::Failed);
+  EXPECT_NE(r.error.find(path), std::string::npos) << r.error;
+  std::filesystem::remove_all(dir);
+}
+
 TEST(RirService, DeviceTierMatchesReferenceTierBitwise) {
   const auto spec = smallSpec(BoundaryModel::FiMm, 40);
   RirService svc;
@@ -464,7 +517,6 @@ TEST(RirService, MetricsJsonHasEverySection) {
 TEST(RirService, DestructorCancelsOutstandingJobs) {
   RirService::Config cfg;
   cfg.workers = 1;
-  cfg.cancelCheckEverySteps = 2;
   auto svc = std::make_unique<RirService>(cfg);
   svc->submit(smallSpec(BoundaryModel::FiMm, 2'000'000));
   svc->submit(smallSpec(BoundaryModel::FiMm, 2'000'000));
@@ -636,6 +688,51 @@ TEST(RirService, HybridJobSplicesIsmAndFdtdExactly) {
   EXPECT_GT(eng.imageRenders, 0u);
 }
 
+// An interrupted hybrid job skips the stitch and returns the raw FDTD
+// traces of the steps it ran: those of the discretized scene.
+TEST(RirService, CancelRunningHybridJobReturnsRawFdtdTraces) {
+  auto spec = ismSpec(1'000'000);
+  spec.fidelity = Fidelity::Hybrid;
+  spec.params.sampleRate = 4000.0;  // coarse grid keeps the FDTD half small
+  spec.ism.room = {2.6, 2.2, 2.0};
+  spec.ism.source = {0.8, 1.1, 0.9};
+  spec.ism.receivers = {{1.8, 0.9, 1.2}, {1.2, 1.5, 0.6}};
+  spec.ism.crossoverStart = 20;
+  spec.ism.crossoverEnd = 40;
+  RirService::Config cfg;
+  cfg.workers = 1;
+  RirService svc(cfg);
+  const auto id = svc.submit(spec);
+  waitUntilRunning(svc, id);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_TRUE(svc.cancel(id));
+  const RirResult r = svc.wait(id);
+  ASSERT_EQ(r.status, JobStatus::Cancelled);
+  EXPECT_LT(r.stepsDone, spec.steps);
+  EXPECT_TRUE(r.spliceEnergyRatio.empty());
+  ASSERT_EQ(r.traces.size(), spec.ism.receivers.size());
+
+  RirJobSpec grid = spec;
+  discretizeScene(grid);
+  Simulation<double>::Config fcfg;
+  fcfg.room = grid.room;
+  fcfg.params = grid.params;
+  fcfg.model = grid.model;
+  fcfg.numMaterials = grid.numMaterials;
+  fcfg.materials = grid.materials;
+  Simulation<double> direct(fcfg);
+  const Source& src = grid.sources.at(0);
+  direct.addImpulse(src.x, src.y, src.z, src.amplitude);
+  const auto expected = direct.record(r.stepsDone, grid.receivers);
+  for (std::size_t rx = 0; rx < expected.size(); ++rx) {
+    ASSERT_EQ(r.traces[rx].size(), static_cast<std::size_t>(r.stepsDone));
+    for (std::size_t s = 0; s < expected[rx].size(); ++s) {
+      ASSERT_EQ(r.traces[rx][s], expected[rx][s])
+          << "receiver " << rx << " step " << s;
+    }
+  }
+}
+
 TEST(RirService, ValidateRejectsBadIsmSpecs) {
   auto spec = ismSpec();
   spec.tier = JobTier::Device;
@@ -666,6 +763,54 @@ TEST(RirService, ValidateRejectsBadIsmSpecs) {
   EXPECT_FALSE(RirService::validate(spec).empty());
 
   EXPECT_TRUE(RirService::validate(ismSpec()).empty());
+}
+
+// The hybrid FDTD half steps through the loop that writes checkpoints, so
+// a checkpoint cadence on an ISM or hybrid spec is refused, like a
+// checkpoint path, instead of being ignored.
+TEST(RirService, ValidateRejectsCheckpointCadenceOnIsmAndHybrid) {
+  for (const auto fidelity : {Fidelity::Ism, Fidelity::Hybrid}) {
+    auto spec = ismSpec(80);
+    spec.fidelity = fidelity;
+    spec.ism.crossoverStart = 20;
+    spec.ism.crossoverEnd = 40;
+    ASSERT_TRUE(RirService::validate(spec).empty())
+        << RirService::validate(spec);
+    spec.checkpointEverySteps = 5;
+    EXPECT_NE(RirService::validate(spec).find("FDTD-fidelity only"),
+              std::string::npos)
+        << RirService::validate(spec);
+  }
+}
+
+// A non-positive Courant number has no grid spacing (h = c*Ts/lambda).
+// Admission refuses it on both tiers, where lambda = 0 used to record
+// silence, and before a hybrid spec derives its grid from h, where
+// lambda < 0 used to make submit() throw.
+TEST(RirService, RejectsNonPositiveCourantNumber) {
+  RirService svc;
+  for (const double lambda : {-0.5, 0.0}) {
+    auto hybrid = ismSpec(80);
+    hybrid.fidelity = Fidelity::Hybrid;
+    hybrid.ism.crossoverStart = 20;
+    hybrid.ism.crossoverEnd = 40;
+    hybrid.params.lambda = lambda;
+    RirService::JobId id = 0;
+    ASSERT_NO_THROW(id = svc.submit(hybrid)) << lambda;
+    const RirResult r = svc.wait(id);
+    EXPECT_EQ(r.status, JobStatus::Rejected) << lambda;
+    EXPECT_NE(r.error.find("Courant"), std::string::npos) << r.error;
+  }
+  for (const auto tier : {JobTier::Reference, JobTier::Device}) {
+    for (const double lambda : {0.0, -0.3}) {
+      auto spec = smallSpec(BoundaryModel::FiMm, 10);
+      spec.tier = tier;
+      spec.params.lambda = lambda;
+      const RirResult r = svc.wait(svc.submit(spec));
+      EXPECT_EQ(r.status, JobStatus::Rejected) << lambda;
+      EXPECT_NE(r.error.find("Courant"), std::string::npos) << r.error;
+    }
+  }
 }
 
 // A hybrid room under about 1.5 grid spacings a side derives a 3x3x3 FDTD
