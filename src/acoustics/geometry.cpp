@@ -413,31 +413,4 @@ void clearVoxelCache() {
   cache.lru.clear();
 }
 
-VolumeSegmentTable buildVolumeSegments(const RoomGrid& grid, int width) {
-  LIFTA_CHECK(width >= 1, "segment width must be >= 1");
-  LIFTA_CHECK(width <= grid.nx * grid.ny,
-              "segment width must not exceed one z plane");
-  VolumeSegmentTable table;
-  table.width = width;
-  const std::int64_t cells = static_cast<std::int64_t>(grid.cells());
-  for (std::int64_t start = 0; start < cells; start += width) {
-    const std::int64_t scanEnd = std::min(cells, start + width);
-    bool hasInside = false;
-    bool allInterior = true;
-    for (std::int64_t idx = start; idx < scanEnd; ++idx) {
-      const std::int32_t nbr = grid.nbrs[static_cast<std::size_t>(idx)];
-      if (nbr > 0) hasInside = true;
-      if (nbr != 6) allInterior = false;
-    }
-    if (!hasInside) continue;
-    // An inside cell never lies in the top halo plane, so its window fits.
-    LIFTA_CHECK(start + width <= cells,
-                "segment window with inside cells exceeds the grid");
-    allInterior = allInterior && scanEnd == start + width;
-    table.start.push_back(static_cast<std::int32_t>(start));
-    table.kind.push_back(allInterior ? 0 : 1);
-  }
-  return table;
-}
-
 }  // namespace lifta::acoustics

@@ -245,25 +245,6 @@ inline bool hasIsolatedInsideCell(const Room& room) {
   return room.nx == 3 && room.ny == 3 && room.nz == 3;
 }
 
-/// Fixed-width form of the interior-run plan for the generated run-table
-/// volume kernel: the flat grid is cut into `width`-aligned windows and
-/// every window containing at least one inside cell becomes a segment.
-/// kind 0 = all `width` cells are pure interior (nbr == 6), so the kernel
-/// body is branch-free; kind 1 = mixed, per-cell nbrs test. All-outside
-/// windows are dropped entirely — the device pressure buffers hold zeros
-/// there and no kernel ever writes them. `width` must be <= nx*ny: the top
-/// halo plane contains no inside cells, so every emitted segment's full
-/// window [start, start+width) fits inside the grid.
-struct VolumeSegmentTable {
-  std::vector<std::int32_t> start;  // first cell of each segment window
-  std::vector<std::int32_t> kind;   // 0 = pure interior, 1 = mixed
-  int width = 0;
-
-  std::size_t segments() const { return start.size(); }
-};
-
-VolumeSegmentTable buildVolumeSegments(const RoomGrid& grid, int width);
-
 /// Closed-form boundary-point count for a box interior of (nx,ny,nz) grid
 /// dims including halo: X*Y*Z - (X-2)*(Y-2)*(Z-2) with X = nx-2 etc.
 /// Matches Table II exactly for the 336^3 box (673,352 points).

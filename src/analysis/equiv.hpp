@@ -14,21 +14,29 @@
 //   * value trees must match in lockstep (same operators, same operand
 //     order, provably-equal integer subterms).
 //
-// Validated passes: index simplification and guard elimination — the two
-// rewrites that change what the generated program computes. Trusted (argued
-// once, not re-checked per kernel): arith canonical constructors, CSE and
-// hoisting (pure naming), the chunk schedule (loop-geometry coverage), and
-// restrict qualification (ABI non-aliasing). See DESIGN.md §10.
+//   * every load a speculated store evaluates unconditionally (guard
+//     speculation, analysis/speculate.hpp) must be re-proven in bounds over
+//     the speculated domain, from the reference walk's as-written address.
+//
+// Validated passes: index simplification, guard elimination and guard
+// speculation — the rewrites that change what the generated program
+// computes or which loads it performs. Trusted (argued once, not re-checked
+// per kernel): arith canonical constructors, CSE and hoisting (pure
+// naming), the chunk schedule and its speculation split (loop-geometry
+// coverage), and restrict qualification (ABI non-aliasing). See DESIGN.md
+// §10.
 #pragma once
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "analysis/diagnostics.hpp"
 #include "analysis/interval.hpp"
+#include "analysis/speculate.hpp"
 #include "arith/expr.hpp"
 #include "memory/kernel_def.hpp"
 #include "memory/specialization.hpp"
@@ -61,8 +69,17 @@ struct SummaryVal {
   std::string text;      // Lit: literal/opaque C text; Apply: operator tag
   arith::Expr index;     // Index: tracked integer value; Load: flat address
   std::string buffer;    // Load: buffer name
+  bool speculated = false;  // Load: evaluated even where its result is
+                            // discarded (the t arm of a speculated store)
   std::vector<ValGuard> guards;     // Guard only
   std::vector<SummaryValPtr> args;  // Apply operands / Guard inner value
+};
+
+/// Guard speculation on a store of select(c, t, f): the emitted code
+/// evaluates `t` for every `loopVar` in `domain`, whatever `c` says.
+struct Speculation {
+  std::string loopVar;
+  Domain domain;
 };
 
 /// One memory effect of the generated program, in emission order.
@@ -73,6 +90,8 @@ struct StoreSummary {
   /// The store as written in the source kernel definition (raw, pre-
   /// simplification address) — the origin every diagnostic cites.
   std::string context;
+  /// Set by the optimized walk when the emitter speculates this store.
+  std::optional<Speculation> speculation;
 };
 
 /// The full symbolic-execution result for one kernel × one optimizer mode.
@@ -85,6 +104,11 @@ struct KernelSummary {
   std::map<std::string, Domain> domains;
   /// Size parameters (nonnegative by construction).
   std::set<std::string> sizeVars;
+  /// Integer let-bound locals whose value the index algebra follows
+  /// (name -> value); addresses mention them by name.
+  std::map<std::string, arith::Expr> letIndex;
+  /// Flat element count of every buffer a load may name.
+  std::map<std::string, arith::Expr> extents;
 };
 
 /// Symbolically evaluates the kernel the way the emitter would generate it:

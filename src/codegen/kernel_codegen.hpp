@@ -35,9 +35,11 @@ namespace lifta::codegen {
 /// and C emission: prover-backed index simplification and proven-guard
 /// elimination, named locals for shared index terms with loop-invariant
 /// terms hoisted per level, a contiguous-chunk schedule (at least 64 items
-/// per work item) for global dimension-0 loops, and __restrict on array
-/// arguments. Every pass is value-preserving: optimized kernels produce
-/// bit-identical outputs to the unoptimized generator (enforced by
+/// per work item) for global dimension-0 loops, guard speculation on the
+/// proven middle range of a chunk loop storing a select (specialized
+/// kernels; analysis/speculate.hpp), and __restrict on array arguments.
+/// Every pass is value-preserving: optimized kernels produce bit-identical
+/// outputs to the unoptimized generator (enforced by
 /// tests/codegen/test_codegen_opt.cpp). `fromEnv()` honours
 /// LIFTA_CODEGEN_OPT=0 as a global opt-out.
 struct CodegenOptions {

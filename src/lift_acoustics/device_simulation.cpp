@@ -58,10 +58,6 @@ struct DeviceSimulation::Impl {
   /// Per-launch slices of the class plan's sorted layout (fission only).
   std::vector<std::vector<std::int32_t>> launchCell, launchMat, launchNbr,
       launchPos;
-  std::vector<std::int32_t> segStart, segKind;  // run-table variant only
-  std::vector<double> nextZero;                 // initial zero "next" upload
-  std::vector<float> nextZeroF;
-  int segWidth = 0;
   bool uploaded = false;
 };
 
@@ -77,11 +73,6 @@ std::vector<float> toF(const std::vector<double>& v) {
   return std::vector<float>(v.begin(), v.end());
 }
 
-/// Window width for the run-table volume kernel. Clamped to one z plane
-/// per buildVolumeSegments' contract; 64 cells amortizes the per-segment
-/// dispatch while keeping most windows pure interior on bench grids.
-constexpr int kSegmentWidth = 64;
-
 }  // namespace
 
 DeviceSimulation::DeviceSimulation(ocl::Context& ctx, Config config)
@@ -94,8 +85,6 @@ DeviceSimulation::DeviceSimulation(ocl::Context& ctx, Config config)
                     config_.numBranches <= acoustics::kMaxBranches,
                 "FD-MM needs 1..kMaxBranches ODE branches");
   }
-  LIFTA_CHECK(!(config_.useStencil3DVolume && config_.useRunTableVolume),
-              "pick one volume kernel variant");
   grid_ = acoustics::voxelizeCached(config_.room, config_.numMaterials);
   const auto mats =
       config_.materials.empty()
@@ -227,33 +216,7 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
   auto betaG = prog.toGPU(prog.hostParam("beta_h"));
 
   host::KernelSpec volume;
-  host::HostPtr volNode;
-  if (config_.useRunTableVolume) {
-    // Lower the interior-run plan to a fixed-width segment table uploaded
-    // once; the kernel writes only segment windows, so `next` must be a
-    // real (zero-filled, rotating) device buffer rather than the kernel's
-    // implicit output — cells outside every segment keep their zeros.
-    const auto segs = acoustics::buildVolumeSegments(
-        *grid_, std::min(kSegmentWidth, grid_->nx * grid_->ny));
-    im.segStart = segs.start;
-    im.segKind = segs.kind;
-    im.segWidth = segs.width;
-    prog.declareScalar("numSeg", host::ScalarType::Int);
-    prog.declareScalar("segW", host::ScalarType::Int);
-    intVals["numSeg"] = static_cast<std::int64_t>(im.segStart.size());
-    intVals["segW"] = im.segWidth;
-    auto segStartG = prog.toGPU(prog.hostParam("segstart_h"));
-    auto segKindG = prog.toGPU(prog.hostParam("segkind_h"));
-    im.nextG = prog.toGPU(prog.hostParam("next0_h"));
-    volume.def = liftVolumeRunsKernel(config_.precision);
-    volume.args = {{im.prev2G, ""},     {im.prev1G, ""},     {nbrsG, ""},
-                   {segStartG, ""},     {segKindG, ""},      {im.nextG, ""},
-                   {nullptr, "nx"},     {nullptr, "nxny"},   {nullptr, "cells"},
-                   {nullptr, "numSeg"}, {nullptr, "segW"},   {nullptr, "l2"}};
-    volume.launchCountScalar = "numSeg";
-    if (specializedBuild) volume.spec = makeSpec(volume);
-    volNode = prog.writeTo(im.nextG, prog.kernelCall(volume));
-  } else if (config_.useStencil3DVolume) {
+  if (config_.useStencil3DVolume) {
     volume.def = liftVolumeStencil3DKernel(config_.precision);
     volume.args = {{im.prev2G, ""},  {im.prev1G, ""},  {nbrsG, ""},
                    {nullptr, "nx"},  {nullptr, "ny"},  {nullptr, "nz"},
@@ -261,19 +224,16 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
     // The Listing-6 kernel parallelizes over z planes.
     volume.launchCountScalar = "nz";
     volume.localSize = 1;
-    if (specializedBuild) volume.spec = makeSpec(volume);
-    im.nextG = prog.kernelCall(volume);
-    volNode = im.nextG;
   } else {
     volume.def = liftVolumeKernel(config_.precision);
     volume.args = {{im.prev2G, ""},    {im.prev1G, ""},   {nbrsG, ""},
                    {nullptr, "nx"},    {nullptr, "nxny"}, {nullptr, "cells"},
                    {nullptr, "l2"}};
     volume.launchCountScalar = "cells";
-    if (specializedBuild) volume.spec = makeSpec(volume);
-    im.nextG = prog.kernelCall(volume);
-    volNode = im.nextG;
   }
+  if (specializedBuild) volume.spec = makeSpec(volume);
+  const host::HostPtr volNode = prog.kernelCall(volume);
+  im.nextG = volNode;
   im.specTargets.push_back({volNode, *volume.def, makeSpec(volume)});
 
   const bool fdmm = config_.model == DeviceModel::FdMm;
@@ -442,19 +402,6 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
       bindVec(c, "v1_h", im.v1F);
       bindVec(c, "v2_h", im.v2F);
     }
-  }
-  if (config_.useRunTableVolume) {
-    bindVec(c, "segstart_h", im.segStart);
-    bindVec(c, "segkind_h", im.segKind);
-    if (dbl) {
-      im.nextZero.assign(cells, 0.0);
-      bindVec(c, "next0_h", im.nextZero);
-    } else {
-      im.nextZeroF.assign(cells, 0.0f);
-      bindVec(c, "next0_h", im.nextZeroF);
-    }
-    c.setInt("numSeg", static_cast<int>(im.segStart.size()));
-    c.setInt("segW", im.segWidth);
   }
   for (std::size_t k = 0; k < im.launches.size(); ++k) {
     const std::string tag = std::to_string(k);

@@ -49,12 +49,6 @@ public:
     /// instead of the flat-index one. Both generate identical arithmetic
     /// (see tests/lift_acoustics/test_stencil3d.cpp).
     bool useStencil3DVolume = false;
-    /// Use the run-table-driven volume kernel: the interior-run plan is
-    /// lowered to a fixed-width segment table, uploaded once as a device
-    /// buffer, and one work item updates one segment (branch-free for
-    /// pure-interior segments). Output is bit-identical to the flat
-    /// kernel. Mutually exclusive with useStencil3DVolume.
-    bool useRunTableVolume = false;
     /// Boundary-phase schedule (fused single kernel vs per-class fission).
     /// Both schedules are bit-identical; they differ only in launch shape.
     BoundarySchedule boundarySchedule = BoundarySchedule::Auto;

@@ -135,67 +135,6 @@ memory::KernelDef liftVolumeStencil3DKernel(ScalarKind real) {
   return def;
 }
 
-memory::KernelDef liftVolumeRunsKernel(ScalarKind real) {
-  const RealOps R{real};
-  auto realArr = Type::array(R.type(), sz("cells"));
-  auto prev = param("prev", realArr);
-  auto curr = param("curr", realArr);
-  auto nbrs = param("nbrs", Type::array(Type::int_(), sz("cells")));
-  auto segStart = param("segStart", Type::array(Type::int_(), sz("numSeg")));
-  auto segKind = param("segKind", Type::array(Type::int_(), sz("numSeg")));
-  auto out = param("out", realArr);
-  auto nx = param("nx", Type::int_());
-  auto nxny = param("nxny", Type::int_());
-  auto cells = param("cells", Type::int_());
-  auto numSeg = param("numSeg", Type::int_());
-  auto segW = param("segW", Type::int_());
-  auto l2 = param("l2", R.type());
-
-  auto tup = param("tup", nullptr);
-  auto segBegin = param("segBegin", nullptr);
-  auto segMode = param("segMode", nullptr);
-  auto j = param("j", nullptr);
-  auto cellIdx = param("cellIdx", nullptr);
-  auto nbr = param("nbr", nullptr);
-
-  auto s = neighborSum(curr, cellIdx, nx, nxny);
-  // Pure-interior windows: nbr == 6 for every cell, so the coefficient is
-  // the constant 2 - l2*6 — the same operations the generic form performs
-  // at nbr = 6, hence bit-identical.
-  auto interior =
-      (R.lit(2.0) - l2 * R.fromInt(litInt(6))) * arrayAccess(curr, cellIdx) +
-      l2 * s - arrayAccess(prev, cellIdx);
-  // Mixed windows: the flat kernel's per-cell body (outside cells get 0,
-  // which is what the untouched buffer already holds).
-  auto generic =
-      (R.lit(2.0) - l2 * R.fromInt(nbr)) * arrayAccess(curr, cellIdx) +
-      l2 * s - arrayAccess(prev, cellIdx);
-  auto cellBody = let(
-      cellIdx, segBegin + j,
-      let(nbr, arrayAccess(nbrs, cellIdx),
-          select(binary(BinOp::Eq, segMode, litInt(0)), interior,
-                 select(binary(BinOp::Gt, nbr, litInt(0)), generic,
-                        R.lit(0.0)))));
-
-  // Each segment writes exactly its window [segBegin, segBegin+segW) of
-  // the aliased out buffer through the Listing-7 Skip/Concat view.
-  auto body = let(
-      segBegin, get(tup, 0),
-      let(segMode, get(tup, 1),
-          concat({skip(R.type(), segBegin),
-                  mapSeq(lambda({j}, cellBody), iota(sz("segW"))),
-                  skip(R.type(), cells - segW - segBegin)})));
-
-  memory::KernelDef def;
-  def.name = "lift_volume_runs";
-  def.real = real;
-  def.params = {prev, curr, nbrs, segStart, segKind, out,
-                nx,   nxny, cells, numSeg,  segW,    l2};
-  def.body = mapGlb(lambda({tup}, body), zip({segStart, segKind}));
-  def.outAliasParam = "out";
-  return def;
-}
-
 memory::KernelDef liftFusedFiKernel(ScalarKind real) {
   const RealOps R{real};
   auto realArr = Type::array(R.type(), sz("cells"));

@@ -38,18 +38,6 @@ memory::KernelDef liftFusedFiKernel(ir::ScalarKind real);
 /// Params: prev, curr, nbrs, nx, ny, nz, cells, l2 (+ implicit out).
 memory::KernelDef liftVolumeStencil3DKernel(ir::ScalarKind real);
 
-/// Run-table-driven volume kernel: one work item per segment of a
-/// VolumeSegmentTable (fixed-width windows of the flat grid, each tagged
-/// pure-interior or mixed). Pure-interior windows update with the
-/// branch-free stencil; mixed windows fall back to the per-cell nbrs test.
-/// Writes land in the aliased `out` buffer through the same
-/// Concat(Skip, window, Skip) destination view as Listing 7, so cells
-/// outside every segment are never touched (they stay zero). Generates
-/// arithmetic bit-identical to liftVolumeKernel on covered cells.
-/// Params: prev, curr, nbrs, segStart, segKind, out, nx, nxny, cells,
-///         numSeg, segW, l2. outAliasParam = "out".
-memory::KernelDef liftVolumeRunsKernel(ir::ScalarKind real);
-
 /// Listing 7: FI-MM boundary kernel, updating `next` in place.
 /// Params: boundaryIndices, material, nbrs, beta, next, prev,
 ///         cells, numB, M, l. outAliasParam = "next".

@@ -39,11 +39,6 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
-std::string compilerCommand() {
-  if (const char* env = std::getenv("LIFTA_CXX")) return env;
-  return "c++";
-}
-
 /// First line of `cmd --version`, cached per command. The probe runs once
 /// per compiler per process; "unknown" (also cached) when the command
 /// cannot be run or prints nothing.
@@ -68,10 +63,6 @@ std::string probedCompilerVersion(const std::string& cmd) {
   cache.emplace(cmd, version);
   return version;
 }
-
-// No -march=native and contraction off: the JIT'd kernels must execute the
-// identical FP operation sequence as the reference build (see header).
-const char* kBaseFlags = "-O2 -ffp-contract=off -std=c++17 -shared -fPIC";
 
 std::string readFile(const std::string& path) {
   std::ifstream f(path);
@@ -215,6 +206,17 @@ Jit& Jit::instance() {
   return jit;
 }
 
+std::string Jit::compilerCommand() {
+  if (const char* env = std::getenv("LIFTA_CXX")) return env;
+  return "c++";
+}
+
+std::string Jit::baseFlags() {
+  // No -march=native and contraction off: the JIT'd kernels must execute
+  // the identical FP operation sequence as the reference build (see header).
+  return "-O2 -ffp-contract=off -std=c++17 -shared -fPIC";
+}
+
 std::string Jit::compilerIdentity() {
   const std::string cmd = compilerCommand();
   std::string version;
@@ -277,8 +279,7 @@ std::shared_ptr<SharedObject> Jit::compile(const std::string& source,
   // comment, so specialized variants of a kernel hash apart from the
   // generic one by construction.)
   const std::string flags =
-      extraFlags.empty() ? std::string(kBaseFlags)
-                         : std::string(kBaseFlags) + " " + extraFlags;
+      extraFlags.empty() ? baseFlags() : baseFlags() + " " + extraFlags;
   const std::uint64_t h =
       fnv1a(compilerIdentity() + '\x1f' + flags + '\x1f' + source);
 

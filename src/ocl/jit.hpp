@@ -89,6 +89,13 @@ public:
   /// yields "unknown". Exposed for tests and diagnostics.
   static std::string compilerIdentity();
 
+  /// The compile command: LIFTA_CXX, or "c++" when unset.
+  static std::string compilerCommand();
+
+  /// The fixed flag set every build starts with; a kernel's extra flags
+  /// (codegen::GeneratedKernel::buildFlags) follow it.
+  static std::string baseFlags();
+
   /// Number of distinct sources compiled so far (for tests).
   std::size_t compiledCount() const { return stats().compiled; }
 

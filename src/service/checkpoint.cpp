@@ -1,6 +1,7 @@
 #include "service/checkpoint.hpp"
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 
 #include "common/error.hpp"
@@ -72,8 +73,11 @@ void checkField(std::uint64_t have, std::uint64_t want, const char* name,
 template <typename T>
 void saveCheckpoint(const acoustics::Simulation<T>& sim,
                     const std::string& path) {
+  // Written beside `path` and renamed over it, so a failed write (a full
+  // disk, a file-size limit) leaves the last good checkpoint in place.
+  const std::string tmp = path + ".tmp";
   const Header h = headerFor(sim);
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
   if (!f) throw Error("cannot open checkpoint for writing: " + path);
   writeBytes(f, &h, sizeof(h));
   const std::size_t fieldBytes = static_cast<std::size_t>(h.cells) * sizeof(T);
@@ -88,7 +92,11 @@ void saveCheckpoint(const acoustics::Simulation<T>& sim,
     writeBytes(f, sim.v2(), stateBytes);
   }
   f.flush();
-  if (!f) throw Error("checkpoint write failed: " + path);
+  f.close();
+  if (!f || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw Error("checkpoint write failed: " + path);
+  }
 }
 
 template <typename T>

@@ -339,6 +339,7 @@ ResolvedAccess resolveAccess(const ViewPtr& view, bool forStore) {
         out.kind = ResolvedAccess::Kind::Mem;
         out.mem = v->mem;
         out.index = addr;
+        out.extent = v->type->flatCount();
         return out;
       }
     }

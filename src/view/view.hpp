@@ -109,6 +109,7 @@ struct ResolvedAccess {
   Kind kind = Kind::Mem;
   std::string mem;                  // Kind::Mem: buffer name
   arith::Expr index;                // Kind::Mem flat address / Iota value
+  arith::Expr extent;               // Kind::Mem: the buffer's element count
   std::string code;                 // Kind::Constant: C expression
   std::vector<AccessGuard> guards;  // zero-Pad guards (loads only)
 };

@@ -237,51 +237,6 @@ TEST(Geometry, InteriorRunPlanInvariantsAllShapes) {
   }
 }
 
-TEST(Geometry, VolumeSegmentTableInvariants) {
-  for (auto shape : {RoomShape::Box, RoomShape::Dome}) {
-    Room r{shape, 18, 15, 11};
-    const RoomGrid g = voxelize(r);
-    const int width = 32;
-    const auto table = buildVolumeSegments(g, width);
-    ASSERT_EQ(table.start.size(), table.kind.size());
-    EXPECT_EQ(table.width, width);
-
-    std::vector<bool> covered(g.cells(), false);
-    std::int32_t prevStart = -width;
-    for (std::size_t sI = 0; sI < table.segments(); ++sI) {
-      const std::int32_t b = table.start[sI];
-      // Aligned, ascending, in-bounds windows.
-      EXPECT_EQ(b % width, 0);
-      EXPECT_GE(b, prevStart + width);
-      ASSERT_LE(static_cast<std::size_t>(b) + width, g.cells());
-      bool hasInside = false;
-      bool allInterior = true;
-      for (int j = 0; j < width; ++j) {
-        const auto idx = static_cast<std::size_t>(b) + j;
-        covered[idx] = true;
-        if (g.nbrs[idx] > 0) hasInside = true;
-        if (g.nbrs[idx] != 6) allInterior = false;
-      }
-      EXPECT_TRUE(hasInside);
-      EXPECT_EQ(table.kind[sI], allInterior ? 0 : 1);
-      prevStart = b;
-    }
-    // Every inside cell lies in some segment; dropped windows are outside.
-    for (std::size_t i = 0; i < g.cells(); ++i) {
-      if (g.nbrs[i] > 0) {
-        EXPECT_TRUE(covered[i]) << shapeName(shape);
-      }
-    }
-  }
-}
-
-TEST(Geometry, SegmentWidthWiderThanPlaneRejected) {
-  Room r{RoomShape::Box, 8, 8, 8};
-  const RoomGrid g = voxelize(r);
-  EXPECT_THROW(buildVolumeSegments(g, 8 * 8 + 1), Error);
-  EXPECT_NO_THROW(buildVolumeSegments(g, 8 * 8));
-}
-
 TEST(Geometry, VoxelizeCachedReturnsSharedGrid) {
   Room r{RoomShape::LShape, 14, 12, 10};
   const auto a = voxelizeCached(r, 2);

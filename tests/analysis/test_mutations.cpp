@@ -22,6 +22,7 @@
 #include "common/json_writer.hpp"
 #include "host/host_program.hpp"
 #include "ir/expr.hpp"
+#include "lift_acoustics/kernels.hpp"
 #include "memory/kernel_def.hpp"
 
 namespace lifta::analysis {
@@ -262,11 +263,25 @@ Mutator editValues(std::function<void(SummaryVal&)> edit) {
   };
 }
 
-bool equivCatches(const memory::KernelDef& def, const Mutator& mutate) {
-  const KernelSummary ref = summarizeKernel(def, /*optimized=*/false);
-  KernelSummary opt = summarizeKernel(def, /*optimized=*/true);
+bool equivCatches(const memory::KernelDef& def, const Mutator& mutate,
+                  const memory::Specialization& spec = {}) {
+  const KernelSummary ref = summarizeKernel(def, /*optimized=*/false, spec);
+  KernelSummary opt = summarizeKernel(def, /*optimized=*/true, spec);
   mutate(opt);
   return compareSummaries(ref, opt).hasErrors();
+}
+
+/// lift_volume_step specialized for a 16x14x12 box: its store speculates
+/// over [nxny, cells - nxny), the range curr[i -/+ nxny] allow.
+memory::KernelDef speculatedVolumeKernel() {
+  return lift_acoustics::liftVolumeKernel(ir::ScalarKind::Double);
+}
+
+memory::Specialization speculatedVolumeSpec() {
+  memory::Specialization spec;
+  spec.ints = {{"nx", 16}, {"nxny", 16 * 14}, {"cells", 16 * 14 * 12}};
+  spec.reals = {{"l2", 0.25}};
+  return spec;
 }
 
 /// The miscompile classes, named after the optimizer bug each simulates.
@@ -357,6 +372,19 @@ miscompileClasses() {
                    }
                  }));
            }},
+          {"speculation_range_widened",  // split one cell below the proof
+           [] {
+             return equivCatches(
+                 speculatedVolumeKernel(),
+                 [](KernelSummary& s) {
+                   // No speculation means nothing to widen: caught=false
+                   // fails the test.
+                   if (!s.stores[0].speculation) return;
+                   Domain& d = s.stores[0].speculation->domain;
+                   d.lo = d.lo - arith::Expr(1);
+                 },
+                 speculatedVolumeSpec());
+           }},
       };
   return classes;
 }
@@ -374,6 +402,17 @@ TEST(Mutations, UnmutatedSummariesValidateClean) {
                                       summarizeKernel(def, true));
     EXPECT_EQ(r.count(Severity::Error), 0u) << def.name << ":\n" << r.toText();
   }
+}
+
+TEST(Mutations, HonestSpeculationValidatesClean) {
+  // Negative control for speculation_range_widened: the emitter's own split
+  // re-proves every speculated load.
+  const auto def = speculatedVolumeKernel();
+  const auto spec = speculatedVolumeSpec();
+  const KernelSummary opt = summarizeKernel(def, true, spec);
+  ASSERT_TRUE(opt.stores[0].speculation.has_value());
+  const Report r = compareSummaries(summarizeKernel(def, false, spec), opt);
+  EXPECT_EQ(r.count(Severity::Error), 0u) << r.toText();
 }
 
 // --- coverage summary: per-rule catch counts, pinned and exported -----------
@@ -537,10 +576,10 @@ TEST(MutationCoverage, EveryClassCaughtAndTotalsPinned) {
   }
   EXPECT_EQ(perPass["bounds"], 3);
   EXPECT_EQ(perPass["race"], 3);
-  EXPECT_EQ(perPass["equiv"], 11);
+  EXPECT_EQ(perPass["equiv"], 12);
   EXPECT_EQ(perPass["hostlint"], 2);
   EXPECT_EQ(perPass["dataflow"], 3);
-  EXPECT_EQ(table.size(), 22u);
+  EXPECT_EQ(table.size(), 23u);
 
   // Export the catch counts for the CI artifact.
   JsonWriter w;

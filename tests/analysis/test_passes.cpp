@@ -22,7 +22,6 @@ std::vector<memory::KernelDef> shippedKernels() {
       lift_acoustics::liftVolumeKernel(ir::ScalarKind::Double),
       lift_acoustics::liftFusedFiKernel(ir::ScalarKind::Double),
       lift_acoustics::liftVolumeStencil3DKernel(ir::ScalarKind::Double),
-      lift_acoustics::liftVolumeRunsKernel(ir::ScalarKind::Double),
       lift_acoustics::liftFiMmKernel(ir::ScalarKind::Double),
       lift_acoustics::liftFdMmKernel(ir::ScalarKind::Double, 3),
       geophys::liftEmEzKernel(ir::ScalarKind::Double),
@@ -45,13 +44,6 @@ AnalysisOptions acousticContracts() {
   mat.valueLo = Expr(0);
   mat.valueHi = Expr::var("M") - Expr(1);
   opts.contracts["material"] = mat;
-
-  BufferContract seg;
-  seg.valueLo = Expr(0);
-  seg.valueHi = Expr::var("cells") - Expr::var("segW");
-  seg.injective = true;
-  seg.multipleOf = Expr::var("segW");
-  opts.contracts["segStart"] = seg;
   return opts;
 }
 
@@ -124,6 +116,59 @@ TEST(Passes, RelationalDomainDischargesMixedStrideDisjointness) {
   const Report clean = analyzeKernelDef(def);  // relational on by default
   EXPECT_EQ(clean.count(Severity::Error), 0u) << clean.toText();
   EXPECT_EQ(clean.count(Severity::Warning), 0u) << clean.toText();
+}
+
+TEST(Passes, AlignedWindowWritesProvenDisjointByMultipleOfContract) {
+  // Work item s writes the window [starts[s], starts[s] + W) through
+  // Concat(Skip, MapSeq, Skip). Distinct, W-aligned window starts keep the
+  // windows apart; only the contract's multipleOf says the starts are
+  // aligned, so without it the race pass cannot separate them.
+  using namespace lifta::ir;
+  memory::KernelDef def;
+  def.name = "windows";
+  const Expr n = Expr::var("N");
+  const Expr w = Expr::var("W");
+  auto src = param("src", Type::array(Type::float_(), n));
+  auto dst = param("dst", Type::array(Type::float_(), n));
+  auto starts = param("starts", Type::array(Type::int_(), Expr::var("S")));
+  auto np = param("N", Type::int_());
+  auto sp = param("S", Type::int_());
+  auto wp = param("W", Type::int_());
+  auto s = param("s", nullptr);
+  auto b = param("b", nullptr);
+  auto j = param("j", nullptr);
+  def.params = {src, dst, starts, np, sp, wp};
+  def.body = mapGlb(
+      lambda({s},
+             let(b, s,
+                 concat({skip(Type::float_(), b),
+                         mapSeq(lambda({j}, arrayAccess(src, b + j) *
+                                                litFloat(2.0f)),
+                                iota(w)),
+                         skip(Type::float_(), np - wp - b)}))),
+      starts);
+  def.outAliasParam = "dst";
+
+  BufferContract aligned;
+  aligned.valueLo = Expr(0);
+  aligned.valueHi = n - w;
+  aligned.injective = true;
+  aligned.multipleOf = w;
+  AnalysisOptions opts;
+  opts.contracts["starts"] = aligned;
+  const Report clean = analyzeKernelDef(def, opts);
+  EXPECT_EQ(clean.count(Severity::Error), 0u) << clean.toText();
+  EXPECT_EQ(clean.count(Severity::Warning), 0u) << clean.toText();
+
+  opts.contracts["starts"].multipleOf.reset();
+  const Report unaligned = analyzeKernelDef(def, opts);
+  std::size_t raceWarnings = 0;
+  for (const auto& d : unaligned.diagnostics) {
+    if (d.severity == Severity::Warning && d.pass == PassId::Race) {
+      ++raceWarnings;
+    }
+  }
+  EXPECT_GE(raceWarnings, 1u) << unaligned.toText();
 }
 
 // --- the codegen-time verification gate -------------------------------------

@@ -165,85 +165,6 @@ TEST(DeviceSimulation, Stencil3DVolumeVariantMatchesFlatVariant) {
   }
 }
 
-TEST(DeviceSimulation, RunTableVolumeVariantMatchesFlatVariant) {
-  // The run-table volume kernel iterates the precomputed segment table (one
-  // work item per aligned window, branchless interior windows) instead of
-  // one work item per cell; both must drive bit-identical simulations.
-  for (auto shape : {RoomShape::Box, RoomShape::Dome}) {
-    Room room{shape, 14, 12, 10};
-    DeviceSimulation::Config a;
-    a.room = room;
-    a.model = DeviceModel::FiMm;
-    a.numMaterials = 2;
-    DeviceSimulation::Config b = a;
-    b.useRunTableVolume = true;
-
-    DeviceSimulation flat(sharedContext(), a);
-    DeviceSimulation runs(sharedContext(), b);
-    flat.addImpulse(7, 6, 5, 1.0);
-    runs.addImpulse(7, 6, 5, 1.0);
-    const auto ra = flat.record(60, 4, 4, 4);
-    const auto rb = runs.record(60, 4, 4, 4);
-    for (std::size_t i = 0; i < ra.size(); ++i) {
-      ASSERT_EQ(ra[i], rb[i]) << shapeName(shape) << " step " << i;
-    }
-  }
-}
-
-TEST(DeviceSimulation, RunTableFdMmTracksReferenceBitwise) {
-  Room room{RoomShape::Dome, 14, 13, 11};
-
-  Simulation<double>::Config refCfg;
-  refCfg.room = room;
-  refCfg.model = BoundaryModel::FdMm;
-  refCfg.numMaterials = 3;
-  refCfg.numBranches = 3;
-  Simulation<double> ref(refCfg);
-  ref.addImpulse(7, 6, 5, 1.0);
-  const auto refRec = ref.record(80, 4, 4, 4);
-
-  DeviceSimulation::Config devCfg;
-  devCfg.room = room;
-  devCfg.model = DeviceModel::FdMm;
-  devCfg.numMaterials = 3;
-  devCfg.numBranches = 3;
-  devCfg.useRunTableVolume = true;
-  DeviceSimulation dev(sharedContext(), devCfg);
-  dev.addImpulse(7, 6, 5, 1.0);
-  const auto devRec = dev.record(80, 4, 4, 4);
-
-  for (std::size_t i = 0; i < refRec.size(); ++i) {
-    ASSERT_EQ(devRec[i], refRec[i]) << "step " << i;
-  }
-}
-
-TEST(DeviceSimulation, RunTableSinglePrecisionMatchesFlat) {
-  Room room{RoomShape::Cylinder, 13, 12, 10};
-  DeviceSimulation::Config a;
-  a.room = room;
-  a.model = DeviceModel::FiMm;
-  a.numMaterials = 1;
-  a.precision = ir::ScalarKind::Float;
-  DeviceSimulation::Config b = a;
-  b.useRunTableVolume = true;
-
-  DeviceSimulation flat(sharedContext(), a);
-  DeviceSimulation runs(sharedContext(), b);
-  flat.addImpulse(6, 6, 5, 1.0);
-  runs.addImpulse(6, 6, 5, 1.0);
-  const auto ra = flat.record(50, 4, 4, 4);
-  const auto rb = runs.record(50, 4, 4, 4);
-  EXPECT_EQ(ra, rb);
-}
-
-TEST(DeviceSimulation, RunTableAndStencilVariantsMutuallyExclusive) {
-  DeviceSimulation::Config cfg;
-  cfg.room = Room{RoomShape::Box, 10, 10, 10};
-  cfg.useStencil3DVolume = true;
-  cfg.useRunTableVolume = true;
-  EXPECT_THROW(DeviceSimulation(sharedContext(), cfg), Error);
-}
-
 // The checks Simulation's constructor makes: without them a material list
 // shorter than numMaterials ran, and the boundary kernel read beta past
 // its end.

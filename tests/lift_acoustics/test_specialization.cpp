@@ -131,29 +131,25 @@ TEST(Specialization, TieredStepsImmediatelyWhileBuildsArePaused) {
   dev.step();
 }
 
-// Specialization composes with the other launch-plan variants: run-table
-// volume and fission boundary schedules stay bit-identical when
-// specialized (per-launch count constants exercise the per-call spec).
+// Specialization composes with the fission boundary schedule: it stays
+// bit-identical when specialized (per-launch count constants exercise the
+// per-call spec).
 TEST(Specialization, SpecializedRunTableAndFissionBitIdentical) {
-  for (const bool runTable : {false, true}) {
-    auto make = [&](KernelTier tier) {
-      auto cfg = baseConfig(kModels[2], RoomShape::Dome);
-      cfg.useRunTableVolume = runTable;
-      cfg.boundarySchedule = BoundarySchedule::Fission;
-      cfg.kernelTier = tier;
-      return cfg;
-    };
-    auto run = [&](KernelTier tier) {
-      DeviceSimulation dev(sharedContext(), make(tier));
-      dev.addImpulse(6, 6, 5, 1.0);
-      return dev.record(30, 4, 4, 4);
-    };
-    const auto generic = run(KernelTier::Generic);
-    const auto specialized = run(KernelTier::Specialized);
-    for (std::size_t i = 0; i < generic.size(); ++i) {
-      ASSERT_EQ(specialized[i], generic[i])
-          << (runTable ? "run-table" : "flat") << " step " << i;
-    }
+  auto make = [&](KernelTier tier) {
+    auto cfg = baseConfig(kModels[2], RoomShape::Dome);
+    cfg.boundarySchedule = BoundarySchedule::Fission;
+    cfg.kernelTier = tier;
+    return cfg;
+  };
+  auto run = [&](KernelTier tier) {
+    DeviceSimulation dev(sharedContext(), make(tier));
+    dev.addImpulse(6, 6, 5, 1.0);
+    return dev.record(30, 4, 4, 4);
+  };
+  const auto generic = run(KernelTier::Generic);
+  const auto specialized = run(KernelTier::Specialized);
+  for (std::size_t i = 0; i < generic.size(); ++i) {
+    ASSERT_EQ(specialized[i], generic[i]) << "step " << i;
   }
 }
 

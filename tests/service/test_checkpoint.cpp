@@ -5,7 +5,11 @@
 #include "service/checkpoint.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -166,6 +170,50 @@ TEST(Checkpoint, RestoreRejectsTruncatedFile) {
 
   Simulation<double> target(makeConfig<double>(BoundaryModel::FdMm));
   EXPECT_THROW(restoreCheckpoint(target, cut.path), Error);
+}
+
+// A periodic checkpoint write that fails must not cost the job its last
+// good checkpoint: the child process below hits RLIMIT_FSIZE mid-write
+// (the live file used to be truncated first and left at the limit).
+TEST(Checkpoint, FailedSaveKeepsPreviousCheckpoint) {
+  TempFile ck("ck_failed_save.ck");
+  const auto cfg = makeConfig<double>(BoundaryModel::FdMm);
+  Simulation<double> sim(cfg);
+  sim.addImpulse(8, 7, 6, 1.0);
+  sim.record(10, 5, 5, 5);
+  saveCheckpoint(sim, ck.path);
+  Simulation<double> atTen(cfg);
+  restoreCheckpoint(atTen, ck.path);
+  sim.record(5, 5, 5, 5);
+
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    const rlimit limit{4096, 4096};
+    setrlimit(RLIMIT_FSIZE, &limit);
+    int code = 1;  // the save did not throw
+    try {
+      saveCheckpoint(sim, ck.path);
+    } catch (const Error& e) {
+      code = std::string(e.what()).find("checkpoint write failed") !=
+                     std::string::npos
+                 ? 0
+                 : 2;
+    }
+    _exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0) << "the limited save must throw";
+
+  Simulation<double> restored(cfg);
+  restoreCheckpoint(restored, ck.path);
+  expectSameState(restored, atTen);
+  EXPECT_EQ(restored.stepsTaken(), 10);
+  std::ifstream tmp(ck.path + ".tmp");
+  EXPECT_FALSE(tmp.good()) << "the failed write left its temp file";
 }
 
 TEST(Checkpoint, RestoreRejectsBadMagicAndMissingFile) {
