@@ -119,8 +119,10 @@ class Summarizer {
         auto sr = spec_.reals.find(p->name);
         const std::string code =
             sr != spec_.reals.end()
-                ? "(" + memory::Specialization::realLiteral(sr->second,
-                                                            def_.real) + ")"
+                ? enclose("(",
+                          memory::Specialization::realLiteral(sr->second,
+                                                              def_.real),
+                          ")")
                 : p->name;
         env_[p.get()] = Binding{nullptr, EV{makeLit(code), {}}};
       }
@@ -705,10 +707,11 @@ class Summarizer {
     // emitter registers iv in [0, len-1] either way, and so does the summary.
     registerLoop(iv, len);
     // Guard speculation: the same candidate test, probe and decision as the
-    // emitter's chunk-scheduled maps (codegen emitSpeculatable).
+    // emitter's chunk-scheduled maps of specialized kernels (codegen
+    // emitSpeculatable).
     const ir::Node* select = nullptr;
     if (optimized_ && n.mapKind == ir::MapKind::Glb && n.mapDim == 0 &&
-        dest && !collapsed && len.isConst() && !probe_) {
+        dest && !collapsed && !spec_.empty() && !probe_) {
       select = speculationCandidate(bodyExpr);
     }
     if (select != nullptr) {
@@ -722,10 +725,14 @@ class Summarizer {
     StoreSummary& st = summary_.stores.back();
     const auto range = isParam(st.buffer)
                            ? std::nullopt
-                           : speculationRange(probe, iv, len);
+                           : speculationRange(probe, iv, len,
+                                              runtimeInts(def_, spec_));
     if (!range) return;
+    std::vector<Expr> last;  // inclusive upper bounds
+    for (const auto& h : range->upper) last.push_back(h - Expr(1));
     st.speculation = Speculation{
-        iv, Domain{Expr(range->lo), Expr(range->hi - 1), true}};
+        iv, Domain{foldBound(range->lower, true), foldBound(last, false),
+                   true}};
     auto sel = std::make_shared<SummaryVal>(*st.value);
     sel->args[1] = markSpeculated(sel->args[1]);
     st.value = std::move(sel);
@@ -944,15 +951,22 @@ std::optional<std::string> diffGuard(const Prover& p, const ValGuard& rg,
 /// condition says: from the reference walk's as-written address, with its
 /// let-bound locals expanded, each must lie in [0, extent) for every loop
 /// index in the speculated domain — the same start the dropped pad-guard
-/// sides are re-proven from.
+/// sides are re-proven from. A domain [max(L...), min(H...)] lies inside
+/// [L, H] for each pair of its terms, so each side of a load holds once it
+/// is proven over one pair; the prover also takes the pair's range as
+/// nonempty, which holds whenever the speculated domain is.
 class SpeculationCheck {
  public:
   SpeculationCheck(const Prover& p, const KernelSummary& ref,
                    Speculation spec)
-      : prover_(p), ref_(ref), spec_(std::move(spec)) {
-    prover_.setDomain(spec_.loopVar, spec_.domain);
-    for (const auto& [name, value] : ref_.letIndex) {
-      prover_.define(name, value);
+      : ref_(ref), spec_(std::move(spec)) {
+    Prover base = p;
+    for (const auto& [name, value] : ref_.letIndex) base.define(name, value);
+    for (const auto& lo : boundTerms(spec_.domain.lo, true)) {
+      for (const auto& hi : boundTerms(spec_.domain.hi, false)) {
+        provers_.push_back(base);
+        provers_.back().setDomain(spec_.loopVar, Domain{lo, hi, true});
+      }
     }
   }
 
@@ -962,10 +976,7 @@ class SpeculationCheck {
       return "speculated load of '" + refLoad.buffer + "' has no known extent";
     }
     const Expr& a = refLoad.index;
-    if (prover_.proveGE0(a).proof == Proof::Yes &&
-        prover_.proveGE0(ext->second - Expr(1) - a).proof == Proof::Yes) {
-      return std::nullopt;
-    }
+    if (holds(a) && holds(ext->second - Expr(1) - a)) return std::nullopt;
     return "speculated load " + refLoad.buffer + "[" + a.toString() +
            "] not provably in [0, " + ext->second.toString() + ") for " +
            spec_.loopVar + " in [" + spec_.domain.lo.toString() + ", " +
@@ -973,9 +984,17 @@ class SpeculationCheck {
   }
 
  private:
-  Prover prover_;
+  /// goal >= 0 over the speculated domain?
+  bool holds(const Expr& goal) const {
+    for (const auto& p : provers_) {
+      if (p.proveGE0(goal).proof == Proof::Yes) return true;
+    }
+    return false;
+  }
+
   const KernelSummary& ref_;
   Speculation spec_;
+  std::vector<Prover> provers_;  // one per (lower, upper) term pair
 };
 
 /// Calls `fn` on every Load node of a value tree.

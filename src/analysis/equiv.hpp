@@ -16,7 +16,8 @@
 //
 //   * every load a speculated store evaluates unconditionally (guard
 //     speculation, analysis/speculate.hpp) must be re-proven in bounds over
-//     the speculated domain, from the reference walk's as-written address.
+//     the speculated domain, constant or symbolic, from the reference
+//     walk's as-written address.
 //
 // Validated passes: index simplification, guard elimination and guard
 // speculation — the rewrites that change what the generated program
@@ -76,7 +77,9 @@ struct SummaryVal {
 };
 
 /// Guard speculation on a store of select(c, t, f): the emitted code
-/// evaluates `t` for every `loopVar` in `domain`, whatever `c` says.
+/// evaluates `t` for every `loopVar` in `domain`, whatever `c` says. The
+/// domain's bounds are constants, or max (lo) and min (hi) chains of index
+/// expressions over the kernel's run-time scalars.
 struct Speculation {
   std::string loopVar;
   Domain domain;

@@ -76,26 +76,78 @@ void SpeculationProbe::noteLoad(std::string buffer, Expr address, Expr extent,
            guarded});
 }
 
-std::optional<SpeculationRange> speculationRange(const SpeculationProbe& probe,
-                                                 const std::string& iv,
-                                                 const Expr& len) {
-  if (!len.isConst()) return std::nullopt;
-  std::int64_t lo = 0;
-  std::int64_t hi = len.constValue();
+namespace {
+
+/// True when every name `e` mentions is in `invariants`.
+bool invariant(const Expr& e, const std::set<std::string>& invariants) {
+  for (const auto& v : e.freeVars()) {
+    if (invariants.count(v) == 0) return false;
+  }
+  return true;
+}
+
+/// Adds `t` to a bound's terms, keeping the tighter of two terms whose
+/// difference is a constant (the larger lower bound, the smaller upper).
+void addBound(std::vector<Expr>& terms, const Expr& t, bool lower) {
+  for (auto& e : terms) {
+    const Expr d = arith::distribute(e - t);
+    if (!d.isConst()) continue;
+    if (lower ? d.constValue() < 0 : d.constValue() > 0) e = t;
+    return;
+  }
+  terms.push_back(t);
+}
+
+}  // namespace
+
+std::set<std::string> runtimeInts(const memory::KernelDef& def,
+                                  const memory::Specialization& spec) {
+  std::set<std::string> out;
+  for (const auto& p : def.params) {
+    if (isInt(p->type) && spec.ints.count(p->name) == 0) out.insert(p->name);
+  }
+  return out;
+}
+
+Expr foldBound(const std::vector<Expr>& terms, bool max) {
+  Expr out = terms.front();
+  for (std::size_t i = 1; i < terms.size(); ++i) {
+    out = max ? arith::max(out, terms[i]) : arith::min(out, terms[i]);
+  }
+  return out;
+}
+
+std::vector<Expr> boundTerms(const Expr& e, bool max) {
+  if (e.kind() != (max ? arith::Kind::Max : arith::Kind::Min)) return {e};
+  std::vector<Expr> out = boundTerms(e.operands()[0], max);
+  for (auto& t : boundTerms(e.operands()[1], max)) out.push_back(std::move(t));
+  return out;
+}
+
+std::optional<SpeculationRange> speculationRange(
+    const SpeculationProbe& probe, const std::string& iv, const Expr& len,
+    const std::set<std::string>& invariants) {
+  if (!invariant(len, invariants)) return std::nullopt;
+  SpeculationRange r{{Expr(0)}, {len}};
   bool speculated = false;
   for (const auto& ld : probe.loads) {
     if (ld.arm == 2) return std::nullopt;
     if (ld.arm != 1) continue;
-    if (ld.guarded || !ld.extent.isConst()) return std::nullopt;
+    if (ld.guarded || !invariant(ld.extent, invariants)) return std::nullopt;
     const Expr k = ld.address.substitute(probe.iotaLets) - Expr::var(iv);
-    if (!k.isConst()) return std::nullopt;
+    if (!invariant(k, invariants)) return std::nullopt;
     // A[iv + k] is in bounds for iv in [-k, E - k).
-    lo = std::max(lo, -k.constValue());
-    hi = std::min(hi, ld.extent.constValue() - k.constValue());
+    addBound(r.lower, Expr(0) - k, /*lower=*/true);
+    addBound(r.upper, ld.extent - k, /*lower=*/false);
     speculated = true;
   }
-  if (!speculated || lo >= hi) return std::nullopt;
-  return SpeculationRange{lo, hi};
+  if (!speculated) return std::nullopt;
+  const Expr lo = foldBound(r.lower, true);
+  const Expr hi = foldBound(r.upper, false);
+  if (lo.isConst() && hi.isConst() && lo.constValue() >= hi.constValue()) {
+    return std::nullopt;
+  }
+  return r;
 }
 
 ChunkSplit splitChunk(std::int64_t lo, std::int64_t hi, std::int64_t mlo,

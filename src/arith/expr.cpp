@@ -292,26 +292,30 @@ std::string Expr::toString() const {
       std::vector<std::string> parts;
       parts.reserve(operands().size());
       for (const auto& op : operands()) parts.push_back(op.toString());
-      return "(" + join(parts, " + ") + ")";
+      return enclose("(", join(parts, " + "), ")");
     }
     case Kind::Mul: {
       std::vector<std::string> parts;
       parts.reserve(operands().size());
       for (const auto& op : operands()) parts.push_back(op.toString());
-      return "(" + join(parts, " * ") + ")";
+      return enclose("(", join(parts, " * "), ")");
     }
     case Kind::Div:
-      return "(" + operands()[0].toString() + " / " + operands()[1].toString() +
-             ")";
+      return enclose(
+          "(", operands()[0].toString() + " / " + operands()[1].toString(),
+          ")");
     case Kind::Mod:
-      return "(" + operands()[0].toString() + " % " + operands()[1].toString() +
-             ")";
+      return enclose(
+          "(", operands()[0].toString() + " % " + operands()[1].toString(),
+          ")");
     case Kind::Min:
-      return "min(" + operands()[0].toString() + ", " +
-             operands()[1].toString() + ")";
+      return enclose(
+          "min(", operands()[0].toString() + ", " + operands()[1].toString(),
+          ")");
     case Kind::Max:
-      return "max(" + operands()[0].toString() + ", " +
-             operands()[1].toString() + ")";
+      return enclose(
+          "max(", operands()[0].toString() + ", " + operands()[1].toString(),
+          ")");
   }
   return "<?>";
 }

@@ -170,8 +170,9 @@ class Emitter {
     }
     if (auto it = opts_.spec.reals.find(p->name);
         it != opts_.spec.reals.end()) {
-      return "(" +
-             memory::Specialization::realLiteral(it->second, def_.real) + ")";
+      return enclose(
+          "(", memory::Specialization::realLiteral(it->second, def_.real),
+          ")");
     }
     return p->name;
   }
@@ -889,7 +890,9 @@ class Emitter {
                          "the barrier-free generator does not emit");
     }
     enterLoopDomain(iv, len);
-    if (chunked && dest && !collapsed && len.isConst() && !probe_ &&
+    // Speculation is a rewrite of the specialized (-O3) tier only: at the
+    // generic tier's -O2 the split loop does not vectorize (DESIGN.md §6).
+    if (chunked && dest && !collapsed && !opts_.spec.empty() && !probe_ &&
         !speculating_) {
       if (const Node* sel = analysis::speculationCandidate(bodyExpr)) {
         emitSpeculatable(n, dest, iv, len, sel);
@@ -950,17 +953,19 @@ class Emitter {
     const auto range =
         isParam(view::resolveAccess(slot, /*forStore=*/true).mem)
             ? std::nullopt
-            : analysis::speculationRange(probe, iv, len);
+            : analysis::speculationRange(
+                  probe, iv, len, analysis::runtimeInts(def_, opts_.spec));
     if (!range) {
       close();
       return;
     }
 
-    // The split of [lo, hi) is analysis::splitChunk, printed as C.
+    // The split of [lo, hi) is analysis::splitChunk, printed as C; the
+    // proven bounds are constants or run-time index expressions.
     Scope edge = std::move(scopes_.back());
     scopes_.pop_back();
-    const std::string mlo = std::to_string(range->lo);
-    const std::string mhi = std::to_string(range->hi);
+    const std::string mlo = analysis::foldBound(range->lower, true).toString();
+    const std::string mhi = analysis::foldBound(range->upper, false).toString();
     stmt("const long " + iv + "_mlo = lifta_imax(" + iv + "_lo, " + mlo +
          ");");
     stmt("const long " + iv + "_mhi = lifta_imax(" + iv + "_mlo, lifta_imin(" +

@@ -22,6 +22,14 @@ std::string strformat(const char* fmt, ...) {
   return out;
 }
 
+std::string enclose(const char* open, const std::string& inner,
+                    const char* close) {
+  std::string s = open;
+  s += inner;
+  s += close;
+  return s;
+}
+
 std::string join(const std::vector<std::string>& parts,
                  const std::string& sep) {
   std::string out;

@@ -12,6 +12,11 @@ namespace lifta {
 /// printf-style formatting into a std::string.
 std::string strformat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/// open + inner + close. Built by appending: GCC 12's -Wrestrict reports a
+/// false overlap on `"literal" + std::string`.
+std::string enclose(const char* open, const std::string& inner,
+                    const char* close);
+
 /// Joins `parts` with `sep` between elements.
 std::string join(const std::vector<std::string>& parts, const std::string& sep);
 

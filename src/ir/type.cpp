@@ -116,12 +116,12 @@ std::string Type::toString() const {
       }
       return "?";
     case TypeKind::Array:
-      return "[" + elem_->toString() + "]_" + size_.toString();
+      return enclose("[", elem_->toString(), "]_") + size_.toString();
     case TypeKind::Tuple: {
       std::vector<std::string> parts;
       parts.reserve(elems_.size());
       for (const auto& e : elems_) parts.push_back(e->toString());
-      return "(" + join(parts, ", ") + ")";
+      return enclose("(", join(parts, ", "), ")");
     }
   }
   return "?";

@@ -28,9 +28,7 @@ struct DeviceSimulation::Impl {
 
   /// One generated kernel eligible for constant specialization: the host
   /// node to hot-swap (KernelCall or its WriteTo wrapper) plus the kernel
-  /// definition and the per-kernel constants (keyed by *kernel parameter*
-  /// name — fission launches all name their count param "count" while the
-  /// host scalars are "count<k>", so a per-kernel map is required).
+  /// definition and its class constants, keyed by kernel parameter name.
   struct SpecTarget {
     host::HostPtr node;
     memory::KernelDef def;
@@ -169,38 +167,14 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
     prog.declareScalar(s, host::ScalarType::Real);
   }
 
-  // Host-scalar values, known before any kernel is built — the same values
-  // the setInt/setReal calls below bind at run time. They feed the
-  // constant-specialization maps, which must therefore stay in lockstep
-  // with those bindings (bit-identity depends on it).
-  std::map<std::string, std::int64_t> intVals = {
-      {"nx", grid_->nx},
-      {"ny", grid_->ny},
-      {"nz", grid_->nz},
-      {"nxny", grid_->nx * grid_->ny},
-      {"cells", static_cast<std::int64_t>(cells)},
-      {"numB", static_cast<std::int64_t>(grid_->boundaryPoints())},
-      {"M", static_cast<std::int64_t>(im.beta.size())},
-  };
-  std::map<std::string, double> realVals = {{"l", config_.params.l()},
-                                            {"l2", config_.params.l2()}};
-  // Builds the per-kernel constant map: walk the declared args (positionally
-  // aligned with the kernel definition's parameters) and record every
-  // scalar under its *kernel parameter* name.
+  // Constant specialization is keyed by the job class (DESIGN.md §12): the
+  // material count and the update coefficients are baked — the same values
+  // the setInt/setReal calls below bind (bit-identity depends on it) — and
+  // the room's sizes and launch counts stay run-time scalars.
   const auto makeSpec = [&](const host::KernelSpec& ks) {
-    memory::Specialization s;
-    const auto& params = ks.def->params;
-    for (std::size_t i = 0; i < ks.args.size() && i < params.size(); ++i) {
-      if (ks.args[i].buffer) continue;
-      const auto& p = params[i];
-      if (p->type->isScalar() &&
-          p->type->scalarKind() == ir::ScalarKind::Int) {
-        s.ints[p->name] = intVals.at(ks.args[i].scalarName);
-      } else {
-        s.reals[p->name] = realVals.at(ks.args[i].scalarName);
-      }
-    }
-    return s;
+    return classSpecialization(*ks.def,
+                               static_cast<std::int64_t>(im.beta.size()),
+                               config_.params.l(), config_.params.l2());
   };
   const bool specializedBuild = config_.kernelTier == KernelTier::Specialized;
   im.prev1G = prog.toGPU(prog.hostParam("prev1_h"));
@@ -294,7 +268,6 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
       const std::string tag = std::to_string(k);
       const std::string countName = "count" + tag;
       prog.declareScalar(countName.c_str(), host::ScalarType::Int);
-      intVals[countName] = static_cast<std::int64_t>(L.count());
       auto cellG = prog.toGPU(prog.hostParam("cellsorted" + tag + "_h"));
       auto matSG = prog.toGPU(prog.hostParam("matsorted" + tag + "_h"));
       host::HostPtr nbrSG, posG;

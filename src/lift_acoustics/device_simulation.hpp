@@ -65,8 +65,10 @@ public:
   /// Queues this config's constant-specialized kernel builds on the
   /// background compile queue and returns without waiting. The builds
   /// outlive the call and park their objects in the process-wide JIT
-  /// cache, so a later simulation with the same config either hot-swaps
-  /// immediately (Tiered) or constructs without a cold compile
+  /// cache. Specialized kernels depend only on the job class (precision,
+  /// model, branch count, material count and Courant number), not on the
+  /// room, so a later simulation of the same class either hot-swaps at its
+  /// first step (Tiered) or constructs without a cold compile
   /// (Specialized). Batch schedulers call this for every job up front —
   /// the compile thread then works ahead of the serialized device jobs.
   /// Returns the number of specialized builds queued.
@@ -133,7 +135,8 @@ private:
       std::vector<acoustics::BoundaryLaunch> launches);
   /// Tiered mode: generates the specialized variant of every kernel on the
   /// calling thread (so the translation-validation gate runs synchronously)
-  /// and submits the sources to the background CompileQueue.
+  /// and submits the sources to the background CompileQueue; a source its
+  /// class already built comes back Ready, and the first step swaps it in.
   void queueSpecializations();
   /// Applies every finished background build by hot-swapping its program
   /// (called at step boundaries and from waitForSpecialization()).

@@ -37,6 +37,18 @@ ExprPtr neighborSum(const ExprPtr& curr, const ExprPtr& i, const ExprPtr& nx,
 
 }  // namespace
 
+memory::Specialization classSpecialization(const memory::KernelDef& def,
+                                           std::int64_t materials, double l,
+                                           double l2) {
+  memory::Specialization s;
+  for (const auto& p : def.params) {
+    if (p->name == "M") s.ints["M"] = materials;
+    if (p->name == "l") s.reals["l"] = l;
+    if (p->name == "l2") s.reals["l2"] = l2;
+  }
+  return s;
+}
+
 memory::KernelDef liftVolumeKernel(ScalarKind real) {
   const RealOps R{real};
   auto realArr = Type::array(R.type(), sz("cells"));

@@ -17,9 +17,22 @@
 // the hand-written baselines bit-for-bit.
 #pragma once
 
+#include <cstdint>
+
 #include "memory/kernel_def.hpp"
+#include "memory/specialization.hpp"
 
 namespace lifta::lift_acoustics {
+
+/// The constants the device tier specializes a kernel on: its job class's
+/// material count (parameter M) and update coefficients (l, l2), for the
+/// parameters `def` has. The room's dimensions, sizes and launch counts
+/// stay run-time scalars, so every room of a class (precision, model,
+/// branch count, materials, Courant number) gets the same specialized
+/// source (DESIGN.md §12).
+memory::Specialization classSpecialization(const memory::KernelDef& def,
+                                           std::int64_t materials, double l,
+                                           double l2);
 
 /// Listing 2 kernel 1 (volume handling) in LIFT IR. Output: fresh buffer.
 /// Params: prev, curr, nbrs, nx, nxny, cells, l2 (+ implicit out).

@@ -55,9 +55,16 @@ CompileQueue::TicketPtr CompileQueue::submit(const std::string& source,
   auto it = live_.find(key);
   if (it != live_.end()) {
     ++stats_.deduped;
+    ++it->second->holders_;
     return it->second;
   }
   auto t = TicketPtr(new Ticket(key, source, extraFlags));
+  if (auto obj = Jit::instance().cached(source, extraFlags)) {
+    ++stats_.compiled;
+    t->state_ = State::Ready;
+    t->obj_ = std::move(obj);
+    return t;
+  }
   live_.emplace(key, t);
   queue_.push_back(t);
   if (!workerStarted_) {
@@ -74,6 +81,7 @@ bool CompileQueue::cancel(const TicketPtr& t) {
   {
     std::lock_guard<std::mutex> tlock(t->mu_);
     if (t->state_ != State::Pending) return false;
+    if (--t->holders_ > 0) return false;
     t->state_ = State::Cancelled;
   }
   t->cv_.notify_all();

@@ -10,9 +10,12 @@
 // Context::buildProgram() of the same source is an instant cache hit.
 //
 // Submissions deduplicate on (flags, source): a second submit of an
-// in-flight compile returns the same Ticket. Pending tickets can be
-// cancelled (batch teardown); a ticket already Building runs to completion
-// and simply parks its result in the Jit cache.
+// in-flight compile returns the same Ticket, and a source the Jit memory
+// cache already holds gets a Ready ticket at once, without the worker.
+// Every submit takes a hold on its ticket and every cancel drops one; a
+// Pending build is cancelled (batch teardown) only when its last holder
+// lets go. A ticket already Building runs to completion and simply parks
+// its result in the Jit cache.
 #pragma once
 
 #include <condition_variable>
@@ -60,16 +63,21 @@ class CompileQueue {
     State state_ = State::Pending;
     std::shared_ptr<SharedObject> obj_;
     std::string error_;
+    int holders_ = 1;  // submits not yet cancelled; guarded by the queue's mu_
   };
   using TicketPtr = std::shared_ptr<Ticket>;
 
-  /// Enqueues a compile; returns an existing ticket when an identical
-  /// (flags, source) submission is still pending or building.
+  /// Enqueues a compile and takes a hold on its ticket; returns an existing
+  /// ticket when an identical (flags, source) submission is still pending
+  /// or building, and a Ready one when the Jit memory cache holds the
+  /// object.
   TicketPtr submit(const std::string& source,
                    const std::string& extraFlags = "");
 
-  /// Cancels a pending ticket; returns false when the build already
-  /// started (it then runs to completion and warms the Jit cache).
+  /// Drops one hold on a pending ticket and cancels the build once no hold
+  /// is left. Returns true when the build was cancelled; false when other
+  /// holders still wait on it or it already started (it then runs to
+  /// completion and warms the Jit cache).
   bool cancel(const TicketPtr& t);
 
   /// Blocks until the ticket is terminal; returns the object for Ready,
@@ -87,7 +95,7 @@ class CompileQueue {
   struct Stats {
     std::size_t submitted = 0;  // submit() calls, including deduped
     std::size_t deduped = 0;    // submits coalesced onto a live ticket
-    std::size_t compiled = 0;   // tickets that reached Ready
+    std::size_t compiled = 0;   // tickets that reached Ready (cache hits too)
     std::size_t failed = 0;     // tickets that reached Failed
     std::size_t cancelled = 0;  // tickets cancelled while Pending
   };

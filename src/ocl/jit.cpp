@@ -164,6 +164,10 @@ struct Jit::Impl {
     }
   }
 
+  /// Must be called with `mu` held: the cached object for `key` (a hit,
+  /// refreshing its LRU position), or nullptr.
+  std::shared_ptr<SharedObject> hit(std::uint64_t key);
+
   /// Must be called with `mu` held.
   void insert(std::uint64_t key, std::shared_ptr<SharedObject> obj) {
     lru.push_front(key);
@@ -269,33 +273,55 @@ std::string Jit::diskCacheDir() const {
   return impl_->diskDir;
 }
 
+namespace {
+
+/// The full build flags of a kernel with `extraFlags`.
+std::string buildFlags(const std::string& extraFlags) {
+  return extraFlags.empty() ? Jit::baseFlags()
+                            : Jit::baseFlags() + " " + extraFlags;
+}
+
+/// Content address: compiler command *and version*, every flag and the
+/// full source all feed the key, so a cached object can never be served for
+/// a build that would have produced different code — including after a
+/// system compiler upgrade against a persistent disk cache. (Generated
+/// sources additionally carry their specialization digest in a header
+/// comment, so specialized variants of a kernel hash apart from the generic
+/// one by construction.)
+std::uint64_t contentHash(const std::string& flags, const std::string& source) {
+  return fnv1a(Jit::compilerIdentity() + '\x1f' + flags + '\x1f' + source);
+}
+
+}  // namespace
+
+std::shared_ptr<SharedObject> Jit::Impl::hit(std::uint64_t key) {
+  auto it = cache.find(key);
+  if (it == cache.end()) return nullptr;
+  ++stats.hits;
+  // Refresh LRU position.
+  lru.erase(it->second.lruPos);
+  lru.push_front(key);
+  it->second.lruPos = lru.begin();
+  return it->second.obj;
+}
+
+std::shared_ptr<SharedObject> Jit::cached(const std::string& source,
+                                          const std::string& extraFlags) {
+  const std::uint64_t h = contentHash(buildFlags(extraFlags), source);
+  std::lock_guard<std::mutex> lock(impl_->mu);
+  return impl_->hit(h);
+}
+
 std::shared_ptr<SharedObject> Jit::compile(const std::string& source,
                                            const std::string& extraFlags) {
-  // Content address: compiler command *and version*, every flag and the
-  // full source all feed the key, so a cached object can never be served
-  // for a build that would have produced different code — including after
-  // a system compiler upgrade against a persistent disk cache. (Generated
-  // sources additionally carry their specialization digest in a header
-  // comment, so specialized variants of a kernel hash apart from the
-  // generic one by construction.)
-  const std::string flags =
-      extraFlags.empty() ? baseFlags() : baseFlags() + " " + extraFlags;
-  const std::uint64_t h =
-      fnv1a(compilerIdentity() + '\x1f' + flags + '\x1f' + source);
+  const std::string flags = buildFlags(extraFlags);
+  const std::uint64_t h = contentHash(flags, source);
 
   std::string diskDir;
   std::chrono::milliseconds timeout;
   {
     std::lock_guard<std::mutex> lock(impl_->mu);
-    auto it = impl_->cache.find(h);
-    if (it != impl_->cache.end()) {
-      ++impl_->stats.hits;
-      // Refresh LRU position.
-      impl_->lru.erase(it->second.lruPos);
-      impl_->lru.push_front(h);
-      it->second.lruPos = impl_->lru.begin();
-      return it->second.obj;
-    }
+    if (auto obj = impl_->hit(h)) return obj;
     ++impl_->stats.misses;
     diskDir = impl_->diskDir;
     timeout = impl_->compileTimeout;

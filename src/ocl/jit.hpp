@@ -71,6 +71,11 @@ public:
   std::shared_ptr<SharedObject> compile(const std::string& source,
                                         const std::string& extraFlags = "");
 
+  /// The loaded object for `source` when the in-memory cache holds it
+  /// (counted as a hit), else nullptr. Never compiles or reads the disk.
+  std::shared_ptr<SharedObject> cached(const std::string& source,
+                                       const std::string& extraFlags = "");
+
   struct Stats {
     std::size_t hits = 0;      // served from the in-memory cache
     std::size_t diskHits = 0;  // loaded from the disk cache

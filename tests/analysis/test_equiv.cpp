@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
+#include <map>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "analysis/verify.hpp"
 #include "codegen/kernel_codegen.hpp"
@@ -246,6 +250,55 @@ TEST(Equiv, SpecializedVolumeSpeculatesOverTheProvenRange) {
   EXPECT_FALSE(summarizeKernel(def, true).stores[0].speculation.has_value());
   EXPECT_FALSE(
       summarizeKernel(def, false, spec).stores[0].speculation.has_value());
+}
+
+TEST(Equiv, ClassSpecializedVolumeSpeculatesOverASymbolicRange) {
+  // The device tier's specialization bakes l2 only (DESIGN.md §12): the
+  // offsets +-1, +-nx, +-nxny and the extent cells stay run-time scalars,
+  // so the proven range is a max/min of index expressions the kernel
+  // evaluates before its loop.
+  const auto def = lift_acoustics::liftVolumeKernel(ir::ScalarKind::Double);
+  const auto spec = lift_acoustics::classSpecialization(def, 3, 0.5, 1.0 / 3);
+  ASSERT_TRUE(spec.ints.empty());
+  ASSERT_EQ(spec.reals.size(), 1u);
+  const KernelSummary ref = summarizeKernel(def, /*optimized=*/false, spec);
+  const KernelSummary opt = summarizeKernel(def, /*optimized=*/true, spec);
+  ASSERT_EQ(opt.stores.size(), 1u);
+  ASSERT_TRUE(opt.stores[0].speculation.has_value());
+  const Domain& d = opt.stores[0].speculation->domain;
+  const auto render = [](const std::vector<Expr>& terms) {
+    std::vector<std::string> out;
+    for (const auto& t : terms) out.push_back(t.toString());
+    return out;
+  };
+  // Every load's own bound; nothing assumes nx or nxny positive, so the
+  // range holds for any values the host binds.
+  EXPECT_EQ(render(boundTerms(d.lo, true)),
+            (std::vector<std::string>{"1", "nx", "(-1 * nx)", "nxny",
+                                      "(-1 * nxny)"}));
+  EXPECT_EQ(render(boundTerms(d.hi, false)),
+            (std::vector<std::string>{"(-2 + cells)", "(-1 + cells + nx)",
+                                      "(-1 + cells + (-1 * nx))",
+                                      "(-1 + cells + nxny)",
+                                      "(-1 + cells + (-1 * nxny))"}));
+  // On a grid (1 <= nx <= nxny) that is [nxny, cells - nxny).
+  for (const auto& [nx, ny, nz] :
+       {std::array<std::int64_t, 3>{96, 72, 56},
+        std::array<std::int64_t, 3>{40, 34, 30},
+        std::array<std::int64_t, 3>{3, 4, 5}}) {
+    const std::map<std::string, std::int64_t> env = {
+        {"nx", nx}, {"nxny", nx * ny}, {"cells", nx * ny * nz}};
+    EXPECT_EQ(d.lo.evaluate(env), nx * ny);
+    EXPECT_EQ(d.hi.evaluate(env), nx * ny * nz - nx * ny - 1);
+  }
+  const Report r = compareSummaries(ref, opt);
+  EXPECT_FALSE(r.hasErrors()) << r.toText();
+
+  // speculation_range_widened on the symbolic range: one cell below the
+  // proof is caught.
+  KernelSummary widened = opt;
+  widened.stores[0].speculation->domain.lo = d.lo - Expr(1);
+  EXPECT_TRUE(compareSummaries(ref, widened).hasErrors());
 }
 
 /// mapGlb(g => flag[g] > 0 ? t(g) : 0, iota(N)) with B of extent N + 2,

@@ -1,10 +1,11 @@
 // Vectorization evidence for the device tier's specialized volume kernel:
-// generates lift_volume_step constant-specialized for a 96x72x56 box (the
-// device_tiered benchmark's room size) in f32 and f64, compiles each with
-// the JIT's compiler command, base flags and the kernel's own build flags
-// plus GCC's -fopt-info-vec-optimized, and fails unless GCC reports a
-// vectorized loop for both. Registered as the ctest
-// lift_volume_vectorization_report (GNU, Release).
+// generates lift_volume_step under the device tier's own job-class
+// specialization (l2 baked; nx, nxny and cells stay run-time scalars, so
+// the speculated range is symbolic) in f32 and f64, compiles each with the
+// JIT's compiler command, base flags and the kernel's own build flags plus
+// GCC's -fopt-info-vec-optimized, and fails unless GCC reports a vectorized
+// loop for both. Registered as the ctest lift_volume_vectorization_report
+// (GNU, Release).
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -40,7 +41,6 @@ std::string capture(const std::string& cmd, int& status) {
 }  // namespace
 
 int main() {
-  constexpr int nx = 96, ny = 72, nz = 56;
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
       ("lifta_vec_report_" + std::to_string(getpid()));
@@ -49,11 +49,12 @@ int main() {
   bool ok = true;
   for (const auto real : {ir::ScalarKind::Float, ir::ScalarKind::Double}) {
     const char* tag = real == ir::ScalarKind::Float ? "f32" : "f64";
+    const auto def = lift_acoustics::liftVolumeKernel(real);
+    const acoustics::SimParams params;
     codegen::CodegenOptions opts;
-    opts.spec.ints = {{"nx", nx}, {"nxny", nx * ny}, {"cells", nx * ny * nz}};
-    opts.spec.reals = {{"l2", acoustics::SimParams{}.l2()}};
-    const codegen::GeneratedKernel k =
-        codegen::generateKernel(lift_acoustics::liftVolumeKernel(real), opts);
+    opts.spec = lift_acoustics::classSpecialization(def, 3, params.l(),
+                                                    params.l2());
+    const codegen::GeneratedKernel k = codegen::generateKernel(def, opts);
 
     const std::filesystem::path src = dir / (std::string(tag) + ".c");
     const std::filesystem::path obj = dir / (std::string(tag) + ".so");

@@ -414,7 +414,9 @@ TEST(CodegenSpecialize, SpecializedVolumeSpeculatesItsGuardedStencil) {
 
 TEST(CodegenSpecialize, SpeculatedVolumeBitIdenticalUnderEveryLaunchGeometry) {
   // Work-item counts whose chunks start in either edge, straddle both
-  // proven bounds (nxny = 288, cells - nxny = 3744) or cover the grid.
+  // proven bounds (nxny = 288, cells - nxny = 3744) or cover the grid;
+  // under the room's specialization (constant bounds) and the device
+  // tier's job-class one (bounds computed from the run-time scalars).
   const Room room{RoomShape::Dome, 18, 16, 14};
   AcState s(room, 1, 0);
   const auto def = lift_acoustics::liftVolumeKernel(ir::ScalarKind::Double);
@@ -437,12 +439,19 @@ TEST(CodegenSpecialize, SpeculatedVolumeBitIdenticalUnderEveryLaunchGeometry) {
     return download<double>(q, std::get<ocl::BufferPtr>(args.at("out")), n);
   };
   const auto ref = run(unoptimized(), n);
-  const CodegenOptions spec = volumeSpec(s.grid.nx, s.grid.ny, s.grid.nz);
-  ASSERT_NE(generateKernel(def, spec).body.find("_mlo"), std::string::npos);
-  for (const std::size_t items : {1, 2, 3, 5, 7, 11, 17, 63, 64, 200}) {
-    const auto got = run(spec, items);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(got[i], ref[i]) << items << " work items, cell " << i;
+  CodegenOptions byClass;
+  byClass.spec = lift_acoustics::classSpecialization(def, 1, s.params.l(),
+                                                     s.params.l2());
+  for (const CodegenOptions& spec :
+       {volumeSpec(s.grid.nx, s.grid.ny, s.grid.nz), byClass}) {
+    ASSERT_NE(generateKernel(def, spec).body.find("_mlo"), std::string::npos);
+    for (const std::size_t items : {1, 2, 3, 5, 7, 11, 17, 63, 64, 200}) {
+      const auto got = run(spec, items);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i], ref[i]) << items << " work items, cell " << i
+                                  << (spec.spec.ints.empty() ? " (class)"
+                                                             : " (room)");
+      }
     }
   }
 }

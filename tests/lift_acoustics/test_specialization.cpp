@@ -2,14 +2,20 @@
 // must be bit-identical to the generic ones across every model × precision
 // × room shape, and a mid-run hot-swap must leave the trajectory exactly
 // where never swapping would have — specialization only renames the
-// environment, it never changes data arithmetic.
+// environment, it never changes data arithmetic. Specialized kernels are
+// keyed by the job class, so a second room of a class reuses every build.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "device_traces.hpp"
 #include "lift_acoustics/device_simulation.hpp"
 #include "ocl/compile_queue.hpp"
+#include "ocl/jit.hpp"
 
 namespace lifta::lift_acoustics {
 namespace {
@@ -113,8 +119,10 @@ TEST(Specialization, MidRunHotSwapIsDeterministic) {
 
 // Tier-0 must be able to step before any background build lands: pause the
 // compile queue so the specialized kernels cannot possibly be ready, step,
-// then unpause and let the swap finish.
+// then unpause and let the swap finish. An earlier test of the process may
+// have built this job class, so the Jit memory cache is emptied first.
 TEST(Specialization, TieredStepsImmediatelyWhileBuildsArePaused) {
+  ocl::Jit::instance().clearMemoryCache();
   auto& queue = ocl::CompileQueue::instance();
   queue.setPaused(true);
   auto cfg = baseConfig(kModels[0], RoomShape::Dome);
@@ -151,6 +159,86 @@ TEST(Specialization, SpecializedRunTableAndFissionBitIdentical) {
   for (std::size_t i = 0; i < generic.size(); ++i) {
     ASSERT_EQ(specialized[i], generic[i]) << "step " << i;
   }
+}
+
+// Specialized kernels depend on the job class only: once the first room's
+// builds finish, a second room of the class compiles nothing, runs every
+// kernel specialized from its first step, and tracks the reference tier
+// bitwise — its sizes and launch counts are bound at run time.
+TEST(Specialization, SecondRoomOfAClassReusesEveryBuild) {
+  struct ClassCase {
+    DeviceModel model;
+    ir::ScalarKind precision;
+  };
+  for (const auto& c : {ClassCase{DeviceModel::FdMm, ir::ScalarKind::Double},
+                        ClassCase{DeviceModel::FiMm, ir::ScalarKind::Float}}) {
+    const auto config = [&](int nx, int ny, int nz) {
+      DeviceSimulation::Config cfg;
+      cfg.room = Room{RoomShape::Box, nx, ny, nz};
+      cfg.model = c.model;
+      cfg.precision = c.precision;
+      cfg.numMaterials = 3;
+      cfg.numBranches = 3;
+      cfg.kernelTier = KernelTier::Tiered;
+      return cfg;
+    };
+    {
+      DeviceSimulation first(sharedContext(), config(40, 34, 30));
+      first.waitForSpecialization();
+      ASSERT_EQ(first.specializedKernels(), first.totalKernels());
+      ASSERT_TRUE(first.boundaryFissionActive());
+    }
+
+    const auto cfg = config(44, 30, 28);
+    const TraceRun run{{22, 15, 14}, {{5, 6, 7}, {38, 24, 20}}, 16, 0};
+    const auto compiled = ocl::Jit::instance().stats().compiled;
+    DeviceSimulation second(sharedContext(), cfg);
+    second.addImpulse(run.source.x, run.source.y, run.source.z, 1.0);
+    std::vector<std::vector<double>> dev(run.receivers.size());
+    for (int s = 0; s < run.steps; ++s) {
+      second.step();
+      EXPECT_EQ(second.specializedKernels(), second.totalKernels())
+          << "step " << s;
+      for (std::size_t r = 0; r < run.receivers.size(); ++r) {
+        const auto& rx = run.receivers[r];
+        dev[r].push_back(second.sample(rx.x, rx.y, rx.z));
+      }
+    }
+    EXPECT_EQ(second.firstSwapStep(), 0);
+    EXPECT_FALSE(second.specializationPending());
+    EXPECT_EQ(ocl::Jit::instance().stats().compiled, compiled);
+
+    const auto ref = c.precision == ir::ScalarKind::Float
+                         ? referenceTraces<float>(cfg, run)
+                         : referenceTraces<double>(cfg, run);
+    for (std::size_t r = 0; r < run.receivers.size(); ++r) {
+      for (int s = 0; s < run.steps; ++s) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(dev[r][s]),
+                  std::bit_cast<std::uint64_t>(ref[r][s]))
+            << "receiver " << r << ", step " << s;
+      }
+    }
+  }
+}
+
+// Two live simulations of one config share their build tickets: tearing
+// down the first must not cancel the builds the second still waits on.
+TEST(Specialization, DestroyingOneSimulationKeepsBuildsAnotherWaitsOn) {
+  ocl::Jit::instance().clearMemoryCache();  // the builds must really queue
+  DeviceSimulation::Config cfg;
+  cfg.room = Room{RoomShape::Box, 23, 19, 17};
+  cfg.model = DeviceModel::FdMm;
+  cfg.numMaterials = 2;
+  cfg.numBranches = 2;
+  cfg.kernelTier = KernelTier::Tiered;
+  HeldCompiles held(true);
+  auto first = std::make_unique<DeviceSimulation>(sharedContext(), cfg);
+  DeviceSimulation second(sharedContext(), cfg);
+  EXPECT_TRUE(second.specializationPending());
+  first.reset();
+  held.release();
+  second.waitForSpecialization();
+  EXPECT_EQ(second.specializedKernels(), second.totalKernels());
 }
 
 }  // namespace

@@ -16,7 +16,7 @@ arith::Expr N() { return arith::Expr::var("N"); }
 
 KernelDef simpleMapKernel() {
   KernelDef def;
-  def.name = "k";
+  def.name = std::string("k");
   auto in = param("A", Type::array(Type::float_(), N()));
   auto nParam = param("N", Type::int_());
   auto x = param("x", nullptr);
@@ -39,7 +39,7 @@ TEST(Allocator, PureMapGetsOutputBuffer) {
 
 TEST(Allocator, OutAliasSuppressesOutputBuffer) {
   auto def = simpleMapKernel();
-  def.outAliasParam = "A";
+  def.outAliasParam = std::string("A");
   const auto plan = planMemory(def);
   EXPECT_FALSE(plan.hasOutBuffer);
   ASSERT_EQ(plan.args.size(), 2u);
@@ -48,13 +48,13 @@ TEST(Allocator, OutAliasSuppressesOutputBuffer) {
 
 TEST(Allocator, UnknownAliasThrows) {
   auto def = simpleMapKernel();
-  def.outAliasParam = "Z";
+  def.outAliasParam = std::string("Z");
   EXPECT_THROW(planMemory(def), CodegenError);
 }
 
 TEST(Allocator, ScalarAliasThrows) {
   auto def = simpleMapKernel();
-  def.outAliasParam = "N";
+  def.outAliasParam = std::string("N");
   EXPECT_THROW(planMemory(def), CodegenError);
 }
 

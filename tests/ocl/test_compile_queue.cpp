@@ -95,6 +95,47 @@ TEST(CompileQueue, CancelledKeyCanBeResubmitted) {
   EXPECT_NE(q.wait(b), nullptr);
 }
 
+TEST(CompileQueue, CancelDropsOnlyTheCallersHold) {
+  // Two holders of one deduplicated ticket: the first one's cancel must not
+  // take the build away from the second.
+  auto& q = CompileQueue::instance();
+  q.setPaused(true);
+  const auto src = uniqueSource("holders");
+  auto a = q.submit(src);
+  auto b = q.submit(src);
+  ASSERT_EQ(a.get(), b.get());
+  EXPECT_FALSE(q.cancel(a));
+  EXPECT_EQ(b->state(), CompileQueue::State::Pending);
+  q.setPaused(false);
+  EXPECT_NE(q.wait(b), nullptr);
+  EXPECT_EQ(b->state(), CompileQueue::State::Ready);
+
+  // The last hold cancels.
+  q.setPaused(true);
+  const auto other = uniqueSource("holders-last");
+  auto c = q.submit(other);
+  auto d = q.submit(other);
+  EXPECT_FALSE(q.cancel(c));
+  EXPECT_TRUE(q.cancel(d));
+  EXPECT_EQ(c->state(), CompileQueue::State::Cancelled);
+  q.setPaused(false);
+}
+
+TEST(CompileQueue, SubmitOfACachedSourceIsReadyAtOnce) {
+  // A source the Jit memory cache holds needs no worker: the ticket is
+  // Ready on return even while the worker is paused.
+  auto& q = CompileQueue::instance();
+  const auto src = uniqueSource("cached");
+  ASSERT_NE(Jit::instance().compile(src), nullptr);
+  const auto compiled = Jit::instance().stats().compiled;
+  q.setPaused(true);
+  auto t = q.submit(src);
+  EXPECT_EQ(t->state(), CompileQueue::State::Ready);
+  EXPECT_NE(t->object(), nullptr);
+  q.setPaused(false);
+  EXPECT_EQ(Jit::instance().stats().compiled, compiled);
+}
+
 TEST(CompileQueue, FailedBuildReportsErrorWithoutThrowing) {
   auto& q = CompileQueue::instance();
   auto t = q.submit("this is not C++ }{" + uniqueSource("fail"));

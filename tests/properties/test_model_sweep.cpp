@@ -98,10 +98,17 @@ INSTANTIATE_TEST_SUITE_P(
 // dimension from {3, 4-6, 7-23}, so 3-wide, prime and flat grids occur;
 // model, materials and FD-MM branches; precision; the device kernel tier,
 // with a Tiered run's hot-swap forced at a fixed mid-run step; the
-// reference tier's threads and tileZ; and a source and two receivers among
-// the inside cells. Both tiers run kSliceSteps steps and every sample must
-// match bitwise. A 3x3x3 room, whose one inside cell has no inside
-// neighbour, must be refused by both constructors instead.
+// reference tier's threads and tileZ; a source and two receivers among the
+// inside cells; and, drawn last so the earlier draws keep their values,
+// the boundary launch plan's boundaryFissionMinPoints from {0, 64, 256,
+// 1 << 20} (pure fission, a coalesced plan, the default, and one mixed
+// launch, which the device tier runs fused), which both tiers follow. The
+// cases share one process, so the specialized kernels of a job class are
+// built once and reused by every later room of the class, with the room's
+// sizes and launch counts bound at run time. Both tiers run kSliceSteps
+// steps and every sample must match bitwise. A 3x3x3 room, whose one
+// inside cell has no inside neighbour, must be refused by both
+// constructors instead.
 
 // Among these 24 draws, case 4 is a 3x3x3 dome, so the refusal path runs.
 constexpr std::uint64_t kSeed = 1;
@@ -121,6 +128,7 @@ struct SliceCase {
   int tileZ = 1;
   Receiver source;
   std::vector<Receiver> receivers;
+  int fissionMinPoints = 0;
 };
 
 int drawDim(Rng& rng) {
@@ -165,6 +173,8 @@ SliceCase drawCase(int index) {
   };
   c.source = pick();
   c.receivers = {pick(), pick()};
+  const int minPoints[] = {0, 64, 256, 1 << 20};
+  c.fissionMinPoints = minPoints[rng.uniformInt(0, 3)];
   return c;
 }
 
@@ -183,6 +193,7 @@ std::string describe(const SliceCase& c) {
   for (const auto& r : c.receivers) {
     os << " (" << r.x << "," << r.y << "," << r.z << ")";
   }
+  os << ", boundaryFissionMinPoints " << c.fissionMinPoints;
   return os.str();
 }
 
@@ -193,6 +204,7 @@ DeviceSimulation::Config deviceConfig(const SliceCase& c) {
   cfg.room = c.room;
   cfg.params.threads = c.threads;
   cfg.params.tileZ = c.tileZ;
+  cfg.params.boundaryFissionMinPoints = c.fissionMinPoints;
   cfg.model = c.model;
   cfg.numMaterials = c.numMaterials;
   cfg.numBranches = c.numBranches;
