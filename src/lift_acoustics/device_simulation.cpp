@@ -1,30 +1,41 @@
 #include "lift_acoustics/device_simulation.hpp"
 
-#include <algorithm>
 #include <cstdio>
+#include <deque>
 #include <string>
 
-#include "acoustics/reference_kernels.hpp"
 #include "common/error.hpp"
 #include "lift_acoustics/kernels.hpp"
 #include "ocl/compile_queue.hpp"
 
 namespace lifta::lift_acoustics {
 
-using acoustics::RoomGrid;
+namespace {
+
+template <typename T>
+void bindVec(host::CompiledHostProgram& c, const std::string& name,
+             const std::vector<T>& v) {
+  c.bindBuffer(name, v.data(), v.size() * sizeof(T));
+}
+
+/// Binds the slots [L.begin, L.end) of one of the plan's sorted arrays.
+void bindSlice(host::CompiledHostProgram& c, const std::string& name,
+               const std::vector<std::int32_t>& v,
+               const acoustics::BoundaryLaunch& L) {
+  c.bindBuffer(name, v.data() + L.begin,
+               static_cast<std::size_t>(L.count()) * sizeof(std::int32_t));
+}
+
+}  // namespace
 
 struct DeviceSimulation::Impl {
   host::HostProgram prog;
   host::HostPtr prev1G, prev2G, nextG, v1G, v2G;
   /// One node per boundary kernel launch: the fused kernel alone, or one
-  /// per entry of `launches` under the fission schedule. Their RunStats
-  /// kernel indices are 1..bndNodes.size().
+  /// per launch of the plan. Their RunStats kernel indices are
+  /// 1..bndNodes.size().
   std::vector<host::HostPtr> bndNodes;
-  host::HostPtr bndNode;  // last boundary node (program tail)
   std::shared_ptr<host::CompiledHostProgram> compiled;
-
-  /// The boundary launch plan in effect; empty means the fused schedule.
-  std::vector<acoustics::BoundaryLaunch> launches;
 
   /// One generated kernel eligible for constant specialization: the host
   /// node to hot-swap (KernelCall or its WriteTo wrapper) plus the kernel
@@ -47,31 +58,25 @@ struct DeviceSimulation::Impl {
   std::size_t swapped = 0;   // hot-swapped (or spec-built) kernel count
   int firstSwapStep = -1;
 
-  // Host staging (double master copies; float shadows when needed).
-  std::vector<double> curr, prev;
-  std::vector<float> currF, prevF;
-  std::vector<double> beta, bi, d, di, f, g1, v1, v2;
-  std::vector<float> betaF, biF, dF, diF, fF, g1F, v1F, v2F;
-  std::vector<std::int32_t> nbrs, bidx, mat;
-  /// Per-launch slices of the class plan's sorted layout (fission only).
-  std::vector<std::vector<std::int32_t>> launchCell, launchMat, launchNbr,
-      launchPos;
+  // Host staging. The real arrays are kept in double; the int arrays are
+  // bound straight from the shared grid.
+  ir::ScalarKind real = ir::ScalarKind::Double;
+  std::vector<double> curr, prev, beta, branchState;
+  acoustics::FdCoeffs fd;
+  /// The f32 copies bindReal binds; a deque keeps their addresses stable.
+  std::deque<std::vector<float>> f32Copies;
   bool uploaded = false;
+
+  /// Binds a real host array at the kernels' precision: `v` itself in
+  /// f64, a static_cast<float> copy of it in f32.
+  void bindReal(const std::string& name, const std::vector<double>& v) {
+    if (real == ir::ScalarKind::Double) {
+      bindVec(*compiled, name, v);
+    } else {
+      bindVec(*compiled, name, f32Copies.emplace_back(v.begin(), v.end()));
+    }
+  }
 };
-
-namespace {
-
-template <typename T>
-void bindVec(host::CompiledHostProgram& c, const char* name,
-             const std::vector<T>& v) {
-  c.bindBuffer(name, v.data(), v.size() * sizeof(T));
-}
-
-std::vector<float> toF(const std::vector<double>& v) {
-  return std::vector<float>(v.begin(), v.end());
-}
-
-}  // namespace
 
 DeviceSimulation::DeviceSimulation(ocl::Context& ctx, Config config)
     : config_(std::move(config)), ctx_(&ctx) {
@@ -83,6 +88,8 @@ DeviceSimulation::DeviceSimulation(ocl::Context& ctx, Config config)
                     config_.numBranches <= acoustics::kMaxBranches,
                 "FD-MM needs 1..kMaxBranches ODE branches");
   }
+  LIFTA_CHECK(config_.params.boundaryFissionMinPoints >= 0,
+              "params.boundaryFissionMinPoints must be >= 0");
   grid_ = acoustics::voxelizeCached(config_.room, config_.numMaterials);
   const auto mats =
       config_.materials.empty()
@@ -92,39 +99,12 @@ DeviceSimulation::DeviceSimulation(ocl::Context& ctx, Config config)
   // The boundary kernels read beta[material id] unchecked.
   LIFTA_CHECK(static_cast<int>(mats.size()) >= config_.numMaterials,
               "fewer materials than material ids in use");
-  const auto fd = acoustics::deriveFdCoeffs(
-      mats, fdmm ? config_.numBranches : 0, config_.params.Ts());
+  impl_ = buildProgram(ctx, mats);
 
-  // Resolve the boundary schedule. A plan of one mixed launch is the fused
-  // kernel modulo point order — fission buys nothing there — so Auto only
-  // fissions when at least one launch is specialized.
-  auto launches = acoustics::planBoundaryLaunches(
-      grid_->boundaryClasses,
-      static_cast<std::int32_t>(
-          std::max(0, config_.params.boundaryFissionMinPoints)));
-  const bool degenerate =
-      launches.size() == 1 && launches.front().fixedNbr < 0;
-  bool fission = false;
-  switch (config_.boundarySchedule) {
-    case BoundarySchedule::Fused:
-      break;
-    case BoundarySchedule::Fission:
-      fission = !launches.empty();
-      break;
-    case BoundarySchedule::Auto:
-      fission = !launches.empty() && !degenerate;
-      break;
-  }
-  impl_ = buildProgram(ctx, mats, fd,
-                       fission ? std::move(launches)
-                               : std::vector<acoustics::BoundaryLaunch>{});
-
-  // Tier resolution runs after the schedule pick so background builds
-  // target the program that will actually step.
   if (config_.kernelTier == KernelTier::Specialized) {
     // buildProgram compiled every kernel specialized already; record that
     // for the tier accessors.
-    impl_->swapped = 1 + impl_->bndNodes.size();
+    impl_->swapped = totalKernels();
     impl_->firstSwapStep = 0;
   } else if (config_.kernelTier == KernelTier::Tiered) {
     queueSpecializations();
@@ -132,31 +112,29 @@ DeviceSimulation::DeviceSimulation(ocl::Context& ctx, Config config)
 }
 
 std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
-    ocl::Context& ctx, const std::vector<acoustics::Material>& mats,
-    const acoustics::FdCoeffs& fd,
-    std::vector<acoustics::BoundaryLaunch> launches) {
+    ocl::Context& ctx, const std::vector<acoustics::Material>& mats) {
   auto implPtr = std::make_unique<Impl>();
   Impl& im = *implPtr;
-  im.launches = std::move(launches);
+  const bool fdmm = config_.model == DeviceModel::FdMm;
+  const int branches = fdmm ? config_.numBranches : 0;
   const std::size_t cells = grid_->cells();
+  im.real = config_.precision;
   im.curr.assign(cells, 0.0);
   im.prev.assign(cells, 0.0);
   im.beta = acoustics::betaTable(mats);
-  im.bi = fd.BI;
-  im.d = fd.D;
-  im.di = fd.DI;
-  im.f = fd.F;
-  const std::size_t stateLen =
-      (config_.model == DeviceModel::FdMm
-           ? static_cast<std::size_t>(config_.numBranches)
-           : 0) *
-      grid_->boundaryPoints();
-  im.g1.assign(stateLen, 0.0);
-  im.v1.assign(stateLen, 0.0);
-  im.v2.assign(stateLen, 0.0);
-  im.nbrs = grid_->nbrs;
-  im.bidx = grid_->boundaryIndices;
-  im.mat = grid_->material;
+  im.fd = acoustics::deriveFdCoeffs(mats, branches, config_.params.Ts());
+  // FD-MM branch state g1, v1 and v2 all start at zero.
+  im.branchState.assign(
+      static_cast<std::size_t>(branches) * grid_->boundaryPoints(), 0.0);
+
+  // The boundary schedule follows the launch plan. One mixed launch is the
+  // fused kernel modulo point order, so it runs fused, like an empty plan;
+  // any other plan runs one generated kernel per launch.
+  const auto& cp = grid_->boundaryClasses;
+  auto launches = acoustics::planBoundaryLaunches(
+      cp, static_cast<std::int32_t>(config_.params.boundaryFissionMinPoints));
+  if (launches.size() == 1 && launches.front().fixedNbr < 0) launches.clear();
+  const bool fused = launches.empty();
 
   // --- Listing 5 host program --------------------------------------------
   auto& prog = im.prog;
@@ -183,34 +161,23 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
   // The flat boundary lists only ride along under the fused schedule; the
   // fission schedule uploads per-launch slices of the sorted layout instead.
   host::HostPtr boundG, matG;
-  if (im.launches.empty()) {
+  if (fused) {
     boundG = prog.toGPU(prog.hostParam("boundaries_h"));
     matG = prog.toGPU(prog.hostParam("material_h"));
   }
   auto betaG = prog.toGPU(prog.hostParam("beta_h"));
 
   host::KernelSpec volume;
-  if (config_.useStencil3DVolume) {
-    volume.def = liftVolumeStencil3DKernel(config_.precision);
-    volume.args = {{im.prev2G, ""},  {im.prev1G, ""},  {nbrsG, ""},
-                   {nullptr, "nx"},  {nullptr, "ny"},  {nullptr, "nz"},
-                   {nullptr, "cells"}, {nullptr, "l2"}};
-    // The Listing-6 kernel parallelizes over z planes.
-    volume.launchCountScalar = "nz";
-    volume.localSize = 1;
-  } else {
-    volume.def = liftVolumeKernel(config_.precision);
-    volume.args = {{im.prev2G, ""},    {im.prev1G, ""},   {nbrsG, ""},
-                   {nullptr, "nx"},    {nullptr, "nxny"}, {nullptr, "cells"},
-                   {nullptr, "l2"}};
-    volume.launchCountScalar = "cells";
-  }
+  volume.def = liftVolumeKernel(config_.precision);
+  volume.args = {{im.prev2G, ""},    {im.prev1G, ""},   {nbrsG, ""},
+                 {nullptr, "nx"},    {nullptr, "nxny"}, {nullptr, "cells"},
+                 {nullptr, "l2"}};
+  volume.launchCountScalar = "cells";
   if (specializedBuild) volume.spec = makeSpec(volume);
   const host::HostPtr volNode = prog.kernelCall(volume);
   im.nextG = volNode;
   im.specTargets.push_back({volNode, *volume.def, makeSpec(volume)});
 
-  const bool fdmm = config_.model == DeviceModel::FdMm;
   host::HostPtr biG, dG, diG, fG, g1G;
   if (fdmm) {
     biG = prog.toGPU(prog.hostParam("bi_h"));
@@ -222,8 +189,7 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
     g1G = prog.toGPU(prog.hostParam("g1_h"));
   }
 
-  host::HostPtr updated;
-  if (im.launches.empty()) {
+  if (fused) {
     // Fused schedule: the Listing-7/8 kernel over the original order.
     host::KernelSpec boundary;
     if (!fdmm) {
@@ -243,7 +209,8 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
     }
     boundary.launchCountScalar = "numB";
     if (specializedBuild) boundary.spec = makeSpec(boundary);
-    updated = prog.writeTo(volNode, prog.kernelCall(boundary));
+    const host::HostPtr updated =
+        prog.writeTo(volNode, prog.kernelCall(boundary));
     im.bndNodes.push_back(updated);
     im.specTargets.push_back({updated, *boundary.def, makeSpec(boundary)});
   } else {
@@ -251,20 +218,9 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
     // updates the running `next` view in place. Within a step the launches
     // write disjoint cells (cellSorted is a permutation of the boundary
     // set), so the chain order is immaterial to the result.
-    const auto& cp = grid_->boundaryClasses;
     host::HostPtr cur = volNode;
-    for (std::size_t k = 0; k < im.launches.size(); ++k) {
-      const auto& L = im.launches[k];
-      const auto b0 = static_cast<std::size_t>(L.begin);
-      const auto b1 = static_cast<std::size_t>(L.end);
-      im.launchCell.emplace_back(cp.cellSorted.begin() + b0,
-                                 cp.cellSorted.begin() + b1);
-      im.launchMat.emplace_back(cp.matSorted.begin() + b0,
-                                cp.matSorted.begin() + b1);
-      im.launchNbr.emplace_back(cp.nbrSorted.begin() + b0,
-                                cp.nbrSorted.begin() + b1);
-      im.launchPos.emplace_back(cp.order.begin() + b0, cp.order.begin() + b1);
-
+    for (std::size_t k = 0; k < launches.size(); ++k) {
+      const auto& L = launches[k];
       const std::string tag = std::to_string(k);
       const std::string countName = "count" + tag;
       prog.declareScalar(countName.c_str(), host::ScalarType::Int);
@@ -324,70 +280,41 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
       im.bndNodes.push_back(cur);
       im.specTargets.push_back({cur, *b.def, makeSpec(b)});
     }
-    updated = cur;
   }
-  im.bndNode = updated;
   // The output copy-back is on demand via sample(), which reads one element
-  // of this node's device buffer; next_h is never bound, so no run copies
-  // the field to the host.
-  prog.toHost(updated, "next_h");
+  // of the last boundary node's device buffer; next_h is never bound, so no
+  // run copies the field to the host.
+  prog.toHost(im.bndNodes.back(), "next_h");
 
   im.compiled = prog.compile(ctx, config_.precision);
 
   // --- static bindings -----------------------------------------------------
   auto& c = *im.compiled;
-  const bool dbl = config_.precision == ir::ScalarKind::Double;
-  if (!dbl) {
-    im.betaF = toF(im.beta);
-    im.biF = toF(im.bi);
-    im.dF = toF(im.d);
-    im.diF = toF(im.di);
-    im.fF = toF(im.f);
-    im.g1F = toF(im.g1);
-    im.v1F = toF(im.v1);
-    im.v2F = toF(im.v2);
+  bindVec(c, "nbrs_h", grid_->nbrs);
+  if (fused) {
+    bindVec(c, "boundaries_h", grid_->boundaryIndices);
+    bindVec(c, "material_h", grid_->material);
   }
-  bindVec(c, "nbrs_h", im.nbrs);
-  if (im.launches.empty()) {
-    bindVec(c, "boundaries_h", im.bidx);
-    bindVec(c, "material_h", im.mat);
-  }
-  if (dbl) {
-    bindVec(c, "beta_h", im.beta);
-  } else {
-    bindVec(c, "beta_h", im.betaF);
-  }
-  if (config_.model == DeviceModel::FdMm) {
-    if (dbl) {
-      bindVec(c, "bi_h", im.bi);
-      bindVec(c, "d_h", im.d);
-      bindVec(c, "di_h", im.di);
-      bindVec(c, "f_h", im.f);
-      bindVec(c, "g1_h", im.g1);
-      bindVec(c, "v1_h", im.v1);
-      bindVec(c, "v2_h", im.v2);
-    } else {
-      bindVec(c, "bi_h", im.biF);
-      bindVec(c, "d_h", im.dF);
-      bindVec(c, "di_h", im.diF);
-      bindVec(c, "f_h", im.fF);
-      bindVec(c, "g1_h", im.g1F);
-      bindVec(c, "v1_h", im.v1F);
-      bindVec(c, "v2_h", im.v2F);
+  im.bindReal("beta_h", im.beta);
+  if (fdmm) {
+    im.bindReal("bi_h", im.fd.BI);
+    im.bindReal("d_h", im.fd.D);
+    im.bindReal("di_h", im.fd.DI);
+    im.bindReal("f_h", im.fd.F);
+    for (const char* s : {"g1_h", "v1_h", "v2_h"}) {
+      im.bindReal(s, im.branchState);
     }
   }
-  for (std::size_t k = 0; k < im.launches.size(); ++k) {
+  for (std::size_t k = 0; k < launches.size(); ++k) {
+    const auto& L = launches[k];
     const std::string tag = std::to_string(k);
-    bindVec(c, ("cellsorted" + tag + "_h").c_str(), im.launchCell[k]);
-    bindVec(c, ("matsorted" + tag + "_h").c_str(), im.launchMat[k]);
-    if (im.launches[k].fixedNbr < 0) {
-      bindVec(c, ("nbrsorted" + tag + "_h").c_str(), im.launchNbr[k]);
+    bindSlice(c, "cellsorted" + tag + "_h", cp.cellSorted, L);
+    bindSlice(c, "matsorted" + tag + "_h", cp.matSorted, L);
+    if (L.fixedNbr < 0) {
+      bindSlice(c, "nbrsorted" + tag + "_h", cp.nbrSorted, L);
     }
-    if (config_.model == DeviceModel::FdMm) {
-      bindVec(c, ("origpos" + tag + "_h").c_str(), im.launchPos[k]);
-    }
-    c.setInt(("count" + tag).c_str(),
-             static_cast<int>(im.launches[k].count()));
+    if (fdmm) bindSlice(c, "origpos" + tag + "_h", cp.order, L);
+    c.setInt("count" + tag, static_cast<int>(L.count()));
   }
   c.setInt("nx", grid_->nx);
   c.setInt("ny", grid_->ny);
@@ -477,33 +404,6 @@ bool DeviceSimulation::specializationPending() const {
 
 int DeviceSimulation::firstSwapStep() const { return impl_->firstSwapStep; }
 
-bool DeviceSimulation::boundaryFissionActive() const {
-  return !impl_->launches.empty();
-}
-
-std::size_t DeviceSimulation::boundaryLaunchCount() const {
-  return impl_->bndNodes.size();
-}
-
-const std::vector<acoustics::BoundaryLaunch>&
-DeviceSimulation::boundaryLaunches() const {
-  return impl_->launches;
-}
-
-std::size_t DeviceSimulation::prewarmSpecializations(ocl::Context& ctx,
-                                                     Config config) {
-  config.kernelTier = KernelTier::Tiered;
-  DeviceSimulation sim(ctx, config);
-  const std::size_t queued = sim.impl_->pending.size();
-  // Detach the tickets: the destructor cancels whatever is still pending,
-  // but a pre-warm exists precisely so the builds continue after this
-  // temporary simulation dies. The CompileQueue holds its own references;
-  // finished objects land in the process-wide Jit cache, and identical
-  // later submissions dedup onto the in-flight tickets.
-  sim.impl_->pending.clear();
-  return queued;
-}
-
 DeviceSimulation::~DeviceSimulation() {
   // Builds still queued for a simulation being torn down are wasted work;
   // cancel what has not started (in-flight builds finish and just warm the
@@ -526,7 +426,6 @@ void DeviceSimulation::addImpulse(int x, int y, int z, double amplitude) {
 double DeviceSimulation::step() {
   Impl& im = *impl_;
   auto& c = *im.compiled;
-  const bool dbl = config_.precision == ir::ScalarKind::Double;
 
   // Hot-swap point: finished background builds replace their generic
   // kernel here, strictly between runs, so a step always executes one
@@ -536,15 +435,8 @@ double DeviceSimulation::step() {
 
   host::CompiledHostProgram::RunStats stats;
   if (!im.uploaded) {
-    if (dbl) {
-      bindVec(c, "prev1_h", im.curr);
-      bindVec(c, "prev2_h", im.prev);
-    } else {
-      im.currF = toF(im.curr);
-      im.prevF = toF(im.prev);
-      bindVec(c, "prev1_h", im.currF);
-      bindVec(c, "prev2_h", im.prevF);
-    }
+    im.bindReal("prev1_h", im.curr);
+    im.bindReal("prev2_h", im.prev);
     stats = c.run();
     im.uploaded = true;
   } else {
@@ -580,7 +472,7 @@ double DeviceSimulation::sample(int x, int y, int z) {
   if (!im.uploaded) return 0.0;
   // The last boundary launch wrote the step's result in place, so its
   // node's buffer holds the whole updated field; read just this element.
-  const auto buf = im.compiled->deviceBuffer(im.bndNode);
+  const auto buf = im.compiled->deviceBuffer(im.bndNodes.back());
   const std::size_t idx = config_.room.index(x, y, z);
   if (config_.precision == ir::ScalarKind::Double) {
     double v = 0.0;

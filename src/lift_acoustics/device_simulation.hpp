@@ -23,19 +23,6 @@ namespace lifta::lift_acoustics {
 
 enum class DeviceModel { FiMm, FdMm };
 
-/// How the device tier schedules the boundary phase.
-enum class BoundarySchedule {
-  /// Pick automatically: fission unless the launch plan is empty or one
-  /// mixed launch, which is the fused kernel modulo point order.
-  Auto,
-  /// The fused Listing-7/8 kernel over the original boundary order.
-  Fused,
-  /// Topology-class fission: one generated kernel per boundary launch
-  /// (faces / edge / corner coalesced per planBoundaryLaunches), each with
-  /// its own NDRange and baked neighbor count where uniform.
-  Fission,
-};
-
 class DeviceSimulation {
 public:
   struct Config {
@@ -45,13 +32,6 @@ public:
     int numMaterials = 1;
     int numBranches = 3;  // FD-MM only
     ir::ScalarKind precision = ir::ScalarKind::Double;
-    /// Use the Listing-6 slide3/pad3 formulation of the volume kernel
-    /// instead of the flat-index one. Both generate identical arithmetic
-    /// (see tests/lift_acoustics/test_stencil3d.cpp).
-    bool useStencil3DVolume = false;
-    /// Boundary-phase schedule (fused single kernel vs per-class fission).
-    /// Both schedules are bit-identical; they differ only in launch shape.
-    BoundarySchedule boundarySchedule = BoundarySchedule::Auto;
     /// Generic, up-front specialized, or tiered execution with background
     /// specialization and hot-swap. Bit-identical across all three.
     KernelTier kernelTier = KernelTier::Generic;
@@ -59,20 +39,13 @@ public:
   };
 
   /// Voxelizes, generates + JIT-builds the kernels, uploads the static data.
+  /// The boundary schedule follows the launch plan
+  /// planBoundaryLaunches(grid.boundaryClasses,
+  /// params.boundaryFissionMinPoints): an empty plan, or one mixed launch,
+  /// runs the fused Listing-7/8 kernel; any other plan runs one generated
+  /// kernel per launch. Both schedules are bit-identical.
   DeviceSimulation(ocl::Context& ctx, Config config);
   ~DeviceSimulation();
-
-  /// Queues this config's constant-specialized kernel builds on the
-  /// background compile queue and returns without waiting. The builds
-  /// outlive the call and park their objects in the process-wide JIT
-  /// cache. Specialized kernels depend only on the job class (precision,
-  /// model, branch count, material count and Courant number), not on the
-  /// room, so a later simulation of the same class either hot-swaps at its
-  /// first step (Tiered) or constructs without a cold compile
-  /// (Specialized). Batch schedulers call this for every job up front —
-  /// the compile thread then works ahead of the serialized device jobs.
-  /// Returns the number of specialized builds queued.
-  static std::size_t prewarmSpecializations(ocl::Context& ctx, Config config);
 
   const acoustics::RoomGrid& grid() const { return *grid_; }
   const Config& config() const { return config_; }
@@ -104,7 +77,8 @@ public:
   double totalVolumeMs() const { return volumeMs_; }
   double totalBoundaryMs() const { return boundaryMs_; }
 
-  /// Kernel launches per step (volume + boundary launches).
+  /// Kernel launches per step: the volume, then the fused boundary kernel
+  /// or one kernel per launch of the plan.
   std::size_t totalKernels() const;
   /// Launches currently running constant-specialized code: totalKernels()
   /// under Specialized, the hot-swapped count under Tiered, 0 otherwise.
@@ -118,21 +92,12 @@ public:
   /// resulting swaps (callable between steps; failed builds stay generic).
   void waitForSpecialization();
 
-  /// True when the resolved schedule runs per-class boundary kernels.
-  bool boundaryFissionActive() const;
-  /// Number of boundary kernel launches per step (1 when fused).
-  std::size_t boundaryLaunchCount() const;
-  /// The launch plan behind the fission schedule (empty when fused).
-  const std::vector<acoustics::BoundaryLaunch>& boundaryLaunches() const;
-
 private:
   struct Impl;
-  /// Builds + compiles the Listing-5 host program; a non-empty launch plan
-  /// selects the fission boundary schedule, empty selects the fused kernel.
+  /// Builds + compiles the Listing-5 host program over `mats`, with the
+  /// boundary schedule the launch plan picks.
   std::unique_ptr<Impl> buildProgram(
-      ocl::Context& ctx, const std::vector<acoustics::Material>& mats,
-      const acoustics::FdCoeffs& fd,
-      std::vector<acoustics::BoundaryLaunch> launches);
+      ocl::Context& ctx, const std::vector<acoustics::Material>& mats);
   /// Tiered mode: generates the specialized variant of every kernel on the
   /// calling thread (so the translation-validation gate runs synchronously)
   /// and submits the sources to the background CompileQueue; a source its

@@ -8,8 +8,6 @@
 #include "common/stats.hpp"
 #include "common/string_util.hpp"
 #include "common/wav.hpp"
-#include "ocl/runtime.hpp"
-#include "service/device_config.hpp"
 
 namespace lifta::service {
 
@@ -89,21 +87,6 @@ BatchResult runRirBatch(RirService& svc, const BatchSpec& spec) {
 
   BatchResult out;
   out.scenesRequested = spec.scenes;
-
-  // Pre-warm specializations: queue every scene's constant-specialized
-  // kernel builds before any job is admitted. Device jobs serialize on one
-  // shared context, so without this the Nth job's background build could
-  // only start once job N constructs; queuing up front lets the compile
-  // thread run ahead and the real jobs dedup onto in-flight tickets or hit
-  // the JIT cache outright.
-  if (spec.fidelity == Fidelity::Fdtd && spec.fdtdTier == JobTier::Device &&
-      spec.deviceKernelTier != DeviceKernelTier::Generic) {
-    ocl::Context warmCtx;
-    for (const auto& job : jobs) {
-      lift_acoustics::DeviceSimulation::prewarmSpecializations(
-          warmCtx, deviceConfigFromSpec(job));
-    }
-  }
 
   std::vector<RirService::JobId> ids;
   ids.reserve(jobs.size());

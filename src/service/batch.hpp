@@ -57,10 +57,8 @@ struct BatchSpec {
   /// Fdtd fidelity only: which implementation tier steps each job.
   JobTier fdtdTier = JobTier::Reference;
   /// Fdtd + Device tier only: kernel tiering mode for every expanded job.
-  /// Specialized/Tiered batches pre-warm — runRirBatch queues every
-  /// scene's constant-specialized builds on the background compile queue
-  /// before submitting any job, so the compile thread works ahead of the
-  /// serialized device executors.
+  /// Specialized kernels are keyed by job class, so the first job of a
+  /// class builds them and every later room of the class reuses them.
   DeviceKernelTier deviceKernelTier = DeviceKernelTier::Generic;
 
   /// Existing directory the shards and manifest are written into.

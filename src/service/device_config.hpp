@@ -1,8 +1,8 @@
-// Internal: the one spec -> DeviceSimulation::Config mapping shared by the
-// device-tier executor (RirService::runDeviceJob) and the batch pre-warmer
-// (runRirBatch). Both sides must agree exactly — a pre-warmed specialized
-// build only pays off if the real job generates byte-identical kernel
-// source and hits the compile queue / JIT cache.
+// Internal: the one spec -> DeviceSimulation::Config mapping the device-tier
+// executor (RirService::runDeviceJob) builds every job with. Code that
+// rebuilds a device job outside the service (perfbench's replay) maps the
+// spec through it too, so it generates the job's kernel sources byte for
+// byte.
 #pragma once
 
 #include "lift_acoustics/device_simulation.hpp"

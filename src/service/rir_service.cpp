@@ -165,6 +165,9 @@ std::string RirService::validate(const RirJobSpec& spec) {
   if (spec.steps < 1) return "steps must be >= 1";
   if (spec.params.threads < 0) return "params.threads must be >= 0";
   if (spec.params.tileZ < 1) return "params.tileZ must be >= 1";
+  if (spec.params.boundaryFissionMinPoints < 0) {
+    return "params.boundaryFissionMinPoints must be >= 0";
+  }
   if (spec.params.sampleRate <= 0.0) return "sample rate must be positive";
   if (spec.params.c <= 0.0) return "speed of sound must be positive";
   // Before anything derives the grid spacing h = c*Ts/lambda from it.

@@ -236,7 +236,7 @@ struct ServiceMetrics {
   std::uint64_t deviceKernelsStayedGeneric = 0;
 
   /// Process-wide background compile queue counters (ocl::CompileQueue)
-  /// since process start; pre-warmed batches show up as deduped submits.
+  /// since process start.
   std::uint64_t compileSubmitted = 0;
   std::uint64_t compileDeduped = 0;
   std::uint64_t compileCompiled = 0;

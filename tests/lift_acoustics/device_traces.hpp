@@ -18,6 +18,13 @@
 
 namespace lifta::lift_acoustics {
 
+/// params.boundaryFissionMinPoints values that pick each boundary
+/// schedule: 0 plans one launch per topology class (fission), and a
+/// threshold above any boundary set plans one mixed launch, which the
+/// device tier runs as the fused kernel.
+inline constexpr int kFissionMinPoints = 0;
+inline constexpr int kFusedMinPoints = 1 << 30;
+
 /// One traced run: an impulse of amplitude 1 at `source`, then `steps`
 /// steps with every receiver sampled after each.
 struct TraceRun {

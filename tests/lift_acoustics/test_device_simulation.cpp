@@ -143,28 +143,6 @@ TEST(DeviceSimulation, EnergyDecaysOnDevice) {
   for (double v : rec) ASSERT_TRUE(std::isfinite(v));
 }
 
-TEST(DeviceSimulation, Stencil3DVolumeVariantMatchesFlatVariant) {
-  // Both formulations of the volume kernel (flat ArrayAccess vs Listing-6
-  // slide3/pad3) must drive identical simulations.
-  Room room{RoomShape::Dome, 14, 12, 10};
-  DeviceSimulation::Config a;
-  a.room = room;
-  a.model = DeviceModel::FiMm;
-  a.numMaterials = 2;
-  DeviceSimulation::Config b = a;
-  b.useStencil3DVolume = true;
-
-  DeviceSimulation flat(sharedContext(), a);
-  DeviceSimulation stencil(sharedContext(), b);
-  flat.addImpulse(7, 6, 5, 1.0);
-  stencil.addImpulse(7, 6, 5, 1.0);
-  const auto ra = flat.record(60, 4, 4, 4);
-  const auto rb = stencil.record(60, 4, 4, 4);
-  for (std::size_t i = 0; i < ra.size(); ++i) {
-    ASSERT_EQ(ra[i], rb[i]) << "step " << i;
-  }
-}
-
 // The checks Simulation's constructor makes: without them a material list
 // shorter than numMaterials ran, and the boundary kernel read beta past
 // its end.
@@ -185,6 +163,10 @@ TEST(DeviceSimulation, RejectsConfigsTheReferenceTierRejects) {
     cfg.numBranches = branches;
     EXPECT_THROW(DeviceSimulation(sharedContext(), cfg), Error) << branches;
   }
+
+  cfg.model = DeviceModel::FiMm;
+  cfg.params.boundaryFissionMinPoints = -1;
+  EXPECT_THROW(DeviceSimulation(sharedContext(), cfg), Error);
 }
 
 TEST(DeviceSimulation, RejectsNonPositiveCourantNumber) {
@@ -231,7 +213,7 @@ TEST(DeviceSimulation, MultiReceiverRecordMatchesSingleReceiverRecords) {
 }
 
 TEST(DeviceSimulation, FissionScheduleTracksReferenceBitwise) {
-  // Forced per-class boundary fission (minPoints = 0: one generated kernel
+  // Pure per-class boundary fission (minPoints = 0: one generated kernel
   // per non-empty topology class) must still track the reference CPU
   // stepper bit-for-bit, for both material models.
   Room room{RoomShape::Dome, 14, 13, 11};
@@ -250,11 +232,9 @@ TEST(DeviceSimulation, FissionScheduleTracksReferenceBitwise) {
     devCfg.model = fd ? DeviceModel::FdMm : DeviceModel::FiMm;
     devCfg.numMaterials = 3;
     devCfg.numBranches = fd ? 3 : 0;
-    devCfg.boundarySchedule = BoundarySchedule::Fission;
-    devCfg.params.boundaryFissionMinPoints = 0;
+    devCfg.params.boundaryFissionMinPoints = kFissionMinPoints;
     DeviceSimulation dev(sharedContext(), devCfg);
-    EXPECT_TRUE(dev.boundaryFissionActive());
-    EXPECT_GT(dev.boundaryLaunchCount(), 1u);
+    EXPECT_GT(dev.totalKernels(), 2u);
     dev.addImpulse(7, 6, 5, 1.0);
     const auto devRec = dev.record(60, 4, 4, 4);
 
@@ -273,49 +253,51 @@ TEST(DeviceSimulation, FusedAndFissionSchedulesBitIdentical) {
   cfg.model = DeviceModel::FdMm;
   cfg.numMaterials = 2;
   cfg.numBranches = 2;
-  cfg.boundarySchedule = BoundarySchedule::Fused;
+  cfg.params.boundaryFissionMinPoints = kFusedMinPoints;
   DeviceSimulation fused(sharedContext(), cfg);
-  EXPECT_FALSE(fused.boundaryFissionActive());
-  EXPECT_EQ(fused.boundaryLaunchCount(), 1u);
+  EXPECT_EQ(fused.totalKernels(), 2u);
   fused.addImpulse(7, 6, 5, 1.0);
   const auto fusedRec = fused.record(40, 4, 4, 4);
 
-  cfg.boundarySchedule = BoundarySchedule::Fission;
-  cfg.params.boundaryFissionMinPoints = 0;
+  cfg.params.boundaryFissionMinPoints = kFissionMinPoints;
   DeviceSimulation fission(sharedContext(), cfg);
-  EXPECT_TRUE(fission.boundaryFissionActive());
+  EXPECT_GT(fission.totalKernels(), 2u);
   fission.addImpulse(7, 6, 5, 1.0);
   const auto fissionRec = fission.record(40, 4, 4, 4);
 
   EXPECT_EQ(fusedRec, fissionRec);
 }
 
-TEST(DeviceSimulation, FissionLaunchPlanCoversWholeBoundarySet) {
-  DeviceSimulation::Config cfg;
-  cfg.room = Room{RoomShape::Dome, 14, 13, 11};
-  cfg.model = DeviceModel::FiMm;
-  cfg.numMaterials = 2;
-  cfg.boundarySchedule = BoundarySchedule::Fission;
-  cfg.params.boundaryFissionMinPoints = 0;
-  DeviceSimulation dev(sharedContext(), cfg);
-  const auto& launches = dev.boundaryLaunches();
-  ASSERT_EQ(launches.size(), dev.boundaryLaunchCount());
-  const auto& cp = dev.grid().boundaryClasses;
-  std::int32_t expectBegin = 0;
-  for (const auto& l : launches) {
-    EXPECT_EQ(l.begin, expectBegin);
-    expectBegin = l.end;
-    // Pure fission: every launch is one class, so a face/edge launch is
-    // branch-free (fixedNbr >= 4) and only the corner launch may mix.
-    EXPECT_EQ(l.classFirst, l.classLast);
-    if (l.classFirst < kBoundaryClassCorner) {
-      EXPECT_GE(l.fixedNbr, 4);
+// The device tier takes its boundary schedule from the launch plan alone:
+// the fused kernel for an empty plan or one mixed launch, otherwise one
+// kernel per launch, each after the one volume launch.
+TEST(DeviceSimulation, LaunchesFollowTheBoundaryPlan) {
+  int fusedCases = 0, fissionCases = 0;
+  for (const auto shape :
+       {RoomShape::Box, RoomShape::Dome, RoomShape::LShape}) {
+    for (const auto model : {DeviceModel::FiMm, DeviceModel::FdMm}) {
+      for (const int minPoints : {0, 64, 256, kFusedMinPoints}) {
+        DeviceSimulation::Config cfg;
+        cfg.room = Room{shape, 20, 18, 16};
+        cfg.model = model;
+        cfg.numMaterials = 2;
+        cfg.numBranches = 2;
+        cfg.params.boundaryFissionMinPoints = minPoints;
+        DeviceSimulation dev(sharedContext(), cfg);
+        const auto plan = planBoundaryLaunches(dev.grid().boundaryClasses,
+                                               minPoints);
+        const bool fused =
+            plan.empty() || (plan.size() == 1 && plan.front().fixedNbr < 0);
+        (fused ? fusedCases : fissionCases) += 1;
+        EXPECT_EQ(dev.totalKernels(), 1 + (fused ? 1 : plan.size()))
+            << shapeName(shape)
+            << (model == DeviceModel::FdMm ? " FD-MM" : " FI-MM")
+            << ", minPoints " << minPoints;
+      }
     }
   }
-  EXPECT_EQ(expectBegin,
-            static_cast<std::int32_t>(dev.grid().boundaryPoints()));
-  EXPECT_EQ(static_cast<std::size_t>(cp.classBegin.back()),
-            dev.grid().boundaryPoints());
+  EXPECT_GT(fusedCases, 0);
+  EXPECT_GT(fissionCases, 0);
 }
 
 // --- per-receiver readback -----------------------------------------------
@@ -357,16 +339,14 @@ constexpr int kSwapStep = 10;
 
 DeviceSimulation::Config readbackConfig(DeviceModel model,
                                         ir::ScalarKind precision,
-                                        BoundarySchedule schedule,
-                                        KernelTier tier) {
+                                        int fissionMinPoints, KernelTier tier) {
   DeviceSimulation::Config cfg;
   cfg.room = Room{RoomShape::Box, 14, 12, 10};
   cfg.model = model;
   cfg.numMaterials = 1;
   cfg.numBranches = 2;
   cfg.precision = precision;
-  cfg.boundarySchedule = schedule;
-  cfg.params.boundaryFissionMinPoints = 0;
+  cfg.params.boundaryFissionMinPoints = fissionMinPoints;
   cfg.kernelTier = tier;
   return cfg;
 }
@@ -375,8 +355,8 @@ void expectReadbackMatchesReference(const DeviceSimulation::Config& cfg) {
   const std::string label =
       std::string(cfg.model == DeviceModel::FdMm ? "FD-MM" : "FI-MM") +
       (cfg.precision == ir::ScalarKind::Double ? " f64" : " f32") +
-      (cfg.boundarySchedule == BoundarySchedule::Fused ? " fused"
-                                                       : " fission") +
+      (cfg.params.boundaryFissionMinPoints == kFusedMinPoints ? " fused"
+                                                               : " fission") +
       (cfg.kernelTier == KernelTier::Tiered ? " tiered" : "");
   const TraceRun run{{7, 6, 5}, readbackReceivers(cfg.room), kReadbackSteps,
                      kSwapStep};
@@ -398,10 +378,9 @@ TEST(DeviceSimulation, SampleReadsEveryCellKindBitwiseBothSchedules) {
   for (const auto model : {DeviceModel::FiMm, DeviceModel::FdMm}) {
     for (const auto precision :
          {ir::ScalarKind::Float, ir::ScalarKind::Double}) {
-      for (const auto schedule :
-           {BoundarySchedule::Fused, BoundarySchedule::Fission}) {
+      for (const int minPoints : {kFusedMinPoints, kFissionMinPoints}) {
         expectReadbackMatchesReference(
-            readbackConfig(model, precision, schedule, KernelTier::Generic));
+            readbackConfig(model, precision, minPoints, KernelTier::Generic));
       }
     }
   }
@@ -412,7 +391,7 @@ TEST(DeviceSimulation, SampleReadsEveryCellKindBitwiseAcrossHotSwap) {
     for (const auto precision :
          {ir::ScalarKind::Float, ir::ScalarKind::Double}) {
       expectReadbackMatchesReference(readbackConfig(
-          model, precision, BoundarySchedule::Fission, KernelTier::Tiered));
+          model, precision, kFissionMinPoints, KernelTier::Tiered));
     }
   }
 }

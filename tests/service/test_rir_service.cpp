@@ -813,6 +813,28 @@ TEST(RirService, RejectsNonPositiveCourantNumber) {
   }
 }
 
+// A negative launch-plan threshold is refused at admission on every FDTD
+// path, reference, device and hybrid alike, before a tier's constructor
+// sees it.
+TEST(RirService, RejectsNegativeBoundaryFissionMinPoints) {
+  auto hybrid = ismSpec(80);
+  hybrid.fidelity = Fidelity::Hybrid;
+  hybrid.ism.crossoverStart = 20;
+  hybrid.ism.crossoverEnd = 40;
+  auto reference = smallSpec(BoundaryModel::FiMm, 10);
+  auto device = reference;
+  device.tier = JobTier::Device;
+  RirService svc;
+  for (auto* spec : {&reference, &device, &hybrid}) {
+    spec->params.boundaryFissionMinPoints = -1;
+    const auto id = svc.submit(*spec);
+    EXPECT_EQ(svc.status(id), JobStatus::Rejected);  // immediate, no wait
+    const RirResult r = svc.wait(id);
+    EXPECT_NE(r.error.find("boundaryFissionMinPoints"), std::string::npos)
+        << r.error;
+  }
+}
+
 // A hybrid room under about 1.5 grid spacings a side derives a 3x3x3 FDTD
 // grid, which voxelize refuses; admission rejects the job with a message
 // about the hybrid grid instead of queueing it to fail in voxelize.
