@@ -7,10 +7,10 @@
 
 #include "codegen/kernel_codegen.hpp"
 #include "common/cli.hpp"
-#include "host/host_program.hpp"
 #include "ir/printer.hpp"
 #include "ir/typecheck.hpp"
 #include "lift_acoustics/kernels.hpp"
+#include "lift_acoustics/step_program.hpp"
 #include "view/view.hpp"
 
 using namespace lifta;
@@ -92,39 +92,11 @@ void acousticKernels(bool fdmm) {
 
 void hostCode() {
   banner("Listing 5: generated host code for the two-kernel step");
-  host::HostProgram prog;
-  for (const char* s : {"nx", "nxny", "cells", "numB", "M"}) {
-    prog.declareScalar(s, host::ScalarType::Int);
-  }
-  for (const char* s : {"l", "l2"}) {
-    prog.declareScalar(s, host::ScalarType::Real);
-  }
-  auto prev1 = prog.toGPU(prog.hostParam("prev1_h"));
-  auto prev2 = prog.toGPU(prog.hostParam("prev2_h"));
-  auto nbrs = prog.toGPU(prog.hostParam("nbrs_h"));
-  auto bound = prog.toGPU(prog.hostParam("boundaries_h"));
-  auto mat = prog.toGPU(prog.hostParam("material_h"));
-  auto beta = prog.toGPU(prog.hostParam("beta_h"));
-
-  host::KernelSpec volume;
-  volume.def = lift_acoustics::liftVolumeKernel(ScalarKind::Float);
-  volume.args = {{prev2, ""},        {prev1, ""},       {nbrs, ""},
-                 {nullptr, "nx"},    {nullptr, "nxny"}, {nullptr, "cells"},
-                 {nullptr, "l2"}};
-  volume.launchCountScalar = "cells";
-  auto nextG = prog.kernelCall(volume);
-
-  host::KernelSpec boundary;
-  boundary.def = lift_acoustics::liftFiMmKernel(ScalarKind::Float);
-  boundary.args = {{bound, ""},        {mat, ""},         {nbrs, ""},
-                   {beta, ""},         {nextG, ""},       {prev2, ""},
-                   {nullptr, "cells"}, {nullptr, "numB"}, {nullptr, "M"},
-                   {nullptr, "l"}};
-  boundary.launchCountScalar = "numB";
-  auto updated = prog.writeTo(nextG, prog.kernelCall(boundary));
-  prog.toHost(updated, "next_h");
-
-  std::printf("%s\n", prog.generateHostCode(ScalarKind::Float).c_str());
+  // The device tier's own step program (lift_acoustics/step_program): an
+  // empty launch plan gives the fused FI-MM boundary kernel.
+  const auto step = lift_acoustics::buildStepProgram(
+      lift_acoustics::DeviceModel::FiMm, ScalarKind::Float, 0, {});
+  std::printf("%s\n", step.prog.generateHostCode(ScalarKind::Float).c_str());
 }
 
 }  // namespace

@@ -1,22 +1,18 @@
 // Concert hall: a dome-shaped room with frequency-dependent multi-material
-// walls (FD-MM, 3 ODE branches), simulated end to end on LIFT-*generated*
-// kernels scheduled by the generated host program — the full pipeline of
-// the paper. Records an impulse response at a listener position, estimates
-// RT60 via Schroeder backward integration, and writes a WAV.
+// walls (FD-MM, 3 ODE branches), simulated end to end by DeviceSimulation on
+// LIFT-*generated* kernels scheduled by the generated host program — the
+// full pipeline of the paper. Records an impulse response at a listener
+// position, estimates RT60 via Schroeder backward integration, and writes a
+// WAV.
 //
-//   ./concert_hall [--steps 1200] [--out hall.wav] [--nx 120]
-#include <cmath>
+//   ./concert_hall [--steps 2400] [--out hall.wav] [--nx 120]
 #include <cstdio>
 #include <vector>
 
 #include "acoustics/analysis.hpp"
-#include "acoustics/geometry.hpp"
-#include "acoustics/materials.hpp"
-#include "acoustics/sim_params.hpp"
 #include "common/cli.hpp"
 #include "common/wav.hpp"
-#include "host/host_program.hpp"
-#include "lift_acoustics/kernels.hpp"
+#include "lift_acoustics/device_simulation.hpp"
 
 using namespace lifta;
 using namespace lifta::acoustics;
@@ -26,143 +22,36 @@ int main(int argc, char** argv) {
   const int steps = static_cast<int>(args.getInt("steps", 2400));
   const int nx = static_cast<int>(args.getInt("nx", 120));
   const std::string outPath = args.getString("out", "hall.wav");
-  const int branches = 3;
-  const int numMaterials = 3;
 
-  const Room room{RoomShape::Dome, nx, (nx * 3) / 4, nx / 2};
-  SimParams params;
-  const RoomGrid grid = voxelize(room, numMaterials);
-  const auto mats = defaultMaterials(numMaterials, branches);
-  const auto fd = deriveFdCoeffs(mats, branches, params.Ts());
+  lift_acoustics::DeviceSimulation::Config cfg;
+  cfg.room = Room{RoomShape::Dome, nx, (nx * 3) / 4, nx / 2};
+  cfg.model = lift_acoustics::DeviceModel::FdMm;
+  cfg.numMaterials = 3;
+  cfg.numBranches = 3;
+  ocl::Context ctx;
+  lift_acoustics::DeviceSimulation sim(ctx, cfg);
+  const Room& room = sim.config().room;
 
   std::printf("concert hall: dome %dx%dx%d, %zu cells, %zu boundary points,"
               " %d materials x %d branches\n",
-              room.nx - 2, room.ny - 2, room.nz - 2, grid.cells(),
-              grid.boundaryPoints(), numMaterials, branches);
+              room.nx - 2, room.ny - 2, room.nz - 2, sim.grid().cells(),
+              sim.grid().boundaryPoints(), cfg.numMaterials, cfg.numBranches);
 
-  // --- host-side state --------------------------------------------------
-  const std::size_t cells = grid.cells();
-  std::vector<double> curr(cells, 0.0), prev(cells, 0.0), next(cells, 0.0);
   const int sx = room.nx / 2, sy = room.ny / 2, sz = room.nz / 3;
-  curr[room.index(sx, sy, sz)] = 1.0;
-  curr[room.index(sx + 1, sy, sz)] = -1.0;
-  std::vector<double> beta = betaTable(mats);
-  const std::size_t stateLen = static_cast<std::size_t>(branches) *
-                               grid.boundaryPoints();
-  std::vector<double> g1(stateLen, 0.0), v1(stateLen, 0.0), v2(stateLen, 0.0);
+  sim.addImpulse(sx, sy, sz, 1.0);
+  sim.addImpulse(sx + 1, sy, sz, -1.0);
+  const std::vector<double> rir = sim.record(
+      steps, room.nx - room.nx / 4, room.ny / 2, room.nz / 2);
 
-  // --- the Listing-5 host program over generated kernels ------------------
-  host::HostProgram prog;
-  for (const char* s : {"nx", "nxny", "cells", "numB", "M"}) {
-    prog.declareScalar(s, host::ScalarType::Int);
-  }
-  for (const char* s : {"l", "l2"}) {
-    prog.declareScalar(s, host::ScalarType::Real);
-  }
-  auto prev1G = prog.toGPU(prog.hostParam("prev1_h"));
-  auto prev2G = prog.toGPU(prog.hostParam("prev2_h"));
-  auto nbrsG = prog.toGPU(prog.hostParam("nbrs_h"));
-  auto boundG = prog.toGPU(prog.hostParam("boundaries_h"));
-  auto matG = prog.toGPU(prog.hostParam("material_h"));
-  auto betaG = prog.toGPU(prog.hostParam("beta_h"));
-  auto biG = prog.toGPU(prog.hostParam("bi_h"));
-  auto dG = prog.toGPU(prog.hostParam("d_h"));
-  auto diG = prog.toGPU(prog.hostParam("di_h"));
-  auto fG = prog.toGPU(prog.hostParam("f_h"));
-  auto g1G = prog.toGPU(prog.hostParam("g1_h"));
-  auto v1G = prog.toGPU(prog.hostParam("v1_h"));
-  auto v2G = prog.toGPU(prog.hostParam("v2_h"));
-
-  host::KernelSpec volume;
-  volume.def = lift_acoustics::liftVolumeKernel(ir::ScalarKind::Double);
-  volume.args = {{prev2G, ""},       {prev1G, ""},      {nbrsG, ""},
-                 {nullptr, "nx"},    {nullptr, "nxny"}, {nullptr, "cells"},
-                 {nullptr, "l2"}};
-  volume.launchCountScalar = "cells";
-  auto nextG = prog.kernelCall(volume);
-
-  host::KernelSpec fdmm;
-  fdmm.def = lift_acoustics::liftFdMmKernel(ir::ScalarKind::Double, branches);
-  fdmm.args = {{boundG, ""},       {matG, ""},        {nbrsG, ""},
-               {betaG, ""},        {biG, ""},         {dG, ""},
-               {diG, ""},          {fG, ""},          {nextG, ""},
-               {prev2G, ""},       {g1G, ""},         {v1G, ""},
-               {v2G, ""},          {nullptr, "cells"}, {nullptr, "numB"},
-               {nullptr, "M"},     {nullptr, "l"}};
-  fdmm.launchCountScalar = "numB";
-  auto updated = prog.writeTo(nextG, prog.kernelCall(fdmm));
-  prog.toHost(updated, "next_h");
-
-  ocl::Context ctx;
-  auto compiled = prog.compile(ctx, ir::ScalarKind::Double);
-  auto bindVec = [&](const char* name, const std::vector<double>& v) {
-    compiled->bindBuffer(name, v.data(), v.size() * sizeof(double));
-  };
-  bindVec("prev1_h", curr);
-  bindVec("prev2_h", prev);
-  compiled->bindBuffer("nbrs_h", grid.nbrs.data(),
-                       grid.nbrs.size() * sizeof(std::int32_t));
-  compiled->bindBuffer("boundaries_h", grid.boundaryIndices.data(),
-                       grid.boundaryIndices.size() * sizeof(std::int32_t));
-  compiled->bindBuffer("material_h", grid.material.data(),
-                       grid.material.size() * sizeof(std::int32_t));
-  bindVec("beta_h", beta);
-  bindVec("bi_h", fd.BI);
-  bindVec("d_h", fd.D);
-  bindVec("di_h", fd.DI);
-  bindVec("f_h", fd.F);
-  bindVec("g1_h", g1);
-  bindVec("v1_h", v1);
-  bindVec("v2_h", v2);
-  compiled->bindOutput("next_h", next.data(), cells * sizeof(double));
-  compiled->setInt("nx", room.nx);
-  compiled->setInt("nxny", room.nx * room.ny);
-  compiled->setInt("cells", static_cast<int>(cells));
-  compiled->setInt("numB", static_cast<int>(grid.boundaryPoints()));
-  compiled->setInt("M", numMaterials);
-  compiled->setReal("l", params.l());
-  compiled->setReal("l2", params.l2());
-
-  // --- time stepping with device-side buffer rotation ---------------------
-  const std::size_t rx = room.index(room.nx - room.nx / 4, room.ny / 2,
-                                    room.nz / 2);
-  std::vector<double> rir;
-  rir.reserve(static_cast<std::size_t>(steps));
-  double volMs = 0.0, bndMs = 0.0;
-
-  auto stats = compiled->run();  // first step uploads everything
-  volMs += stats.kernels[0].second;
-  bndMs += stats.kernels[1].second;
-  rir.push_back(next[rx]);
-
-  for (int t = 1; t < steps; ++t) {
-    // Rotate pressure: prev2 <- prev1 <- next <- (old prev2 storage).
-    auto p1 = compiled->deviceBuffer(prev1G);
-    auto p2 = compiled->deviceBuffer(prev2G);
-    auto nx_ = compiled->deviceBuffer(nextG);
-    compiled->setDeviceBuffer(prev2G, p1);
-    compiled->setDeviceBuffer(prev1G, nx_);
-    compiled->setDeviceBuffer(nextG, p2);
-    // Swap the branch-velocity double buffer.
-    auto a = compiled->deviceBuffer(v1G);
-    auto b = compiled->deviceBuffer(v2G);
-    compiled->setDeviceBuffer(v1G, b);
-    compiled->setDeviceBuffer(v2G, a);
-
-    stats = compiled->run(/*skipUploads=*/true);
-    volMs += stats.kernels[0].second;
-    bndMs += stats.kernels[1].second;
-    rir.push_back(next[rx]);
-  }
-
-  std::printf("ran %d steps on LIFT-generated kernels: volume %.1f ms, "
-              "boundary %.1f ms (%.1f%% boundary)\n",
-              steps, volMs, bndMs, 100.0 * bndMs / (volMs + bndMs));
-  const double rt60 = estimateRt60(rir, params.Ts());
+  const double volMs = sim.totalVolumeMs(), bndMs = sim.totalBoundaryMs();
+  std::printf("ran %d steps on LIFT-generated kernels (%zu per step): volume "
+              "%.1f ms, boundary %.1f ms (%.1f%% boundary)\n",
+              steps, sim.totalKernels(), volMs, bndMs,
+              100.0 * bndMs / (volMs + bndMs));
+  const double rt60 = estimateRt60(rir, cfg.params.Ts());
   std::printf("estimated RT60: %.3f s\n", rt60);
 
-  writeWav(outPath, normalize(rir),
-           static_cast<int>(params.sampleRate));
+  writeWav(outPath, normalize(rir), static_cast<int>(cfg.params.sampleRate));
   std::printf("wrote %s (%zu samples)\n", outPath.c_str(), rir.size());
   return 0;
 }

@@ -416,13 +416,6 @@ struct RaceChecker {
 
     const Expr delta = af1->second - af2->second;
     if (delta == Expr(0)) return;  // distinct atoms, identical offsets
-    if (c->multipleOf) {
-      const Expr m = *c->multipleOf;
-      if (yes(prover.proveGE0(m - Expr(1) - delta)) &&
-          yes(prover.proveGE0(m - Expr(1) + delta))) {
-        return;  // |delta| < m <= |atom - atom'|
-      }
-    }
     // Stride-window rule (the fissioned FD-MM state pattern,
     // index = atom + branch*numB with atom = origPos[g] in [0, numB-1]):
     // when every term of delta is divisible by some m and the contract

@@ -28,7 +28,6 @@ struct BufferContract {
   std::optional<arith::Expr> valueLo;  // every element >= valueLo
   std::optional<arith::Expr> valueHi;  // every element <= valueHi
   bool injective = false;              // distinct positions, distinct values
-  std::optional<arith::Expr> multipleOf;  // every element divisible by this
 };
 
 struct AnalysisOptions {

@@ -188,15 +188,6 @@ std::shared_ptr<CompiledHostProgram> HostProgram::compile(ocl::Context& ctx,
       *this, ctx, real, codegen::CodegenOptions::fromEnv()));
 }
 
-std::shared_ptr<CompiledHostProgram> HostProgram::compile(
-    ocl::Context& ctx, ir::ScalarKind real,
-    const codegen::CodegenOptions& opts) {
-  analysis::verifyHostProgram(*this);
-  analysis::verifyHostDataflow(*this);
-  return std::shared_ptr<CompiledHostProgram>(
-      new CompiledHostProgram(*this, ctx, real, opts));
-}
-
 CompiledHostProgram::CompiledHostProgram(HostProgram prog, ocl::Context& ctx,
                                          ir::ScalarKind real,
                                          const codegen::CodegenOptions& opts)

@@ -122,13 +122,6 @@ public:
   std::shared_ptr<CompiledHostProgram> compile(ocl::Context& ctx,
                                                ir::ScalarKind real);
 
-  /// As above with explicit codegen options for the generated kernels —
-  /// the hook tiered execution uses to build a fully constant-specialized
-  /// program (CodegenOptions::spec) instead of the generic one.
-  std::shared_ptr<CompiledHostProgram> compile(
-      ocl::Context& ctx, ir::ScalarKind real,
-      const codegen::CodegenOptions& opts);
-
   /// Read-only views of the DAG for static analysis and tooling.
   const std::vector<HostPtr>& nodes() const { return order_; }
   const std::vector<std::pair<HostPtr, std::string>>& outputs() const {

@@ -26,30 +26,36 @@ void bindSlice(host::CompiledHostProgram& c, const std::string& name,
                static_cast<std::size_t>(L.count()) * sizeof(std::int32_t));
 }
 
+/// The kernel call behind a step program's kernel node: the node itself,
+/// or the call its WriteTo wraps.
+host::KernelSpec& kernelOf(const host::HostPtr& node) {
+  return node->op == host::HOp::WriteTo ? node->call->kernel : node->kernel;
+}
+
+/// The constants a kernel node is specialized on, keyed by the job class
+/// (DESIGN.md §12): the material count and the update coefficients are
+/// baked — the same values buildProgram binds to M, l and l2 (bit-identity
+/// depends on it) — and the room's sizes and launch counts stay run-time
+/// scalars.
+memory::Specialization classSpec(const host::HostPtr& node,
+                                 std::size_t materials,
+                                 const acoustics::SimParams& params) {
+  return classSpecialization(*kernelOf(node).def,
+                             static_cast<std::int64_t>(materials), params.l(),
+                             params.l2());
+}
+
 }  // namespace
 
 struct DeviceSimulation::Impl {
-  host::HostProgram prog;
-  host::HostPtr prev1G, prev2G, nextG, v1G, v2G;
-  /// One node per boundary kernel launch: the fused kernel alone, or one
-  /// per launch of the plan. Their RunStats kernel indices are
-  /// 1..bndNodes.size().
-  std::vector<host::HostPtr> bndNodes;
+  /// The program and its nodes; every kernel node is a hot-swap target,
+  /// and step.kernels[k] is RunStats kernel k.
+  StepProgram step;
   std::shared_ptr<host::CompiledHostProgram> compiled;
 
-  /// One generated kernel eligible for constant specialization: the host
-  /// node to hot-swap (KernelCall or its WriteTo wrapper) plus the kernel
-  /// definition and its class constants, keyed by kernel parameter name.
-  struct SpecTarget {
-    host::HostPtr node;
-    memory::KernelDef def;
-    memory::Specialization spec;
-  };
-  std::vector<SpecTarget> specTargets;
-
-  /// Tiered mode: one in-flight background build per target.
+  /// Tiered mode: one in-flight background build per kernel node.
   struct PendingSwap {
-    std::size_t target = 0;  // index into specTargets
+    std::size_t kernel = 0;  // index into step.kernels
     codegen::GeneratedKernel gen;
     ocl::CompileQueue::TicketPtr ticket;
     bool done = false;
@@ -136,159 +142,18 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
   if (launches.size() == 1 && launches.front().fixedNbr < 0) launches.clear();
   const bool fused = launches.empty();
 
-  // --- Listing 5 host program --------------------------------------------
-  auto& prog = im.prog;
-  for (const char* s : {"nx", "ny", "nz", "nxny", "cells", "numB", "M"}) {
-    prog.declareScalar(s, host::ScalarType::Int);
-  }
-  for (const char* s : {"l", "l2"}) {
-    prog.declareScalar(s, host::ScalarType::Real);
-  }
-
-  // Constant specialization is keyed by the job class (DESIGN.md §12): the
-  // material count and the update coefficients are baked — the same values
-  // the setInt/setReal calls below bind (bit-identity depends on it) — and
-  // the room's sizes and launch counts stay run-time scalars.
-  const auto makeSpec = [&](const host::KernelSpec& ks) {
-    return classSpecialization(*ks.def,
-                               static_cast<std::int64_t>(im.beta.size()),
-                               config_.params.l(), config_.params.l2());
-  };
-  const bool specializedBuild = config_.kernelTier == KernelTier::Specialized;
-  im.prev1G = prog.toGPU(prog.hostParam("prev1_h"));
-  im.prev2G = prog.toGPU(prog.hostParam("prev2_h"));
-  auto nbrsG = prog.toGPU(prog.hostParam("nbrs_h"));
-  // The flat boundary lists only ride along under the fused schedule; the
-  // fission schedule uploads per-launch slices of the sorted layout instead.
-  host::HostPtr boundG, matG;
-  if (fused) {
-    boundG = prog.toGPU(prog.hostParam("boundaries_h"));
-    matG = prog.toGPU(prog.hostParam("material_h"));
-  }
-  auto betaG = prog.toGPU(prog.hostParam("beta_h"));
-
-  host::KernelSpec volume;
-  volume.def = liftVolumeKernel(config_.precision);
-  volume.args = {{im.prev2G, ""},    {im.prev1G, ""},   {nbrsG, ""},
-                 {nullptr, "nx"},    {nullptr, "nxny"}, {nullptr, "cells"},
-                 {nullptr, "l2"}};
-  volume.launchCountScalar = "cells";
-  if (specializedBuild) volume.spec = makeSpec(volume);
-  const host::HostPtr volNode = prog.kernelCall(volume);
-  im.nextG = volNode;
-  im.specTargets.push_back({volNode, *volume.def, makeSpec(volume)});
-
-  host::HostPtr biG, dG, diG, fG, g1G;
-  if (fdmm) {
-    biG = prog.toGPU(prog.hostParam("bi_h"));
-    dG = prog.toGPU(prog.hostParam("d_h"));
-    diG = prog.toGPU(prog.hostParam("di_h"));
-    fG = prog.toGPU(prog.hostParam("f_h"));
-    im.v1G = prog.toGPU(prog.hostParam("v1_h"));
-    im.v2G = prog.toGPU(prog.hostParam("v2_h"));
-    g1G = prog.toGPU(prog.hostParam("g1_h"));
-  }
-
-  if (fused) {
-    // Fused schedule: the Listing-7/8 kernel over the original order.
-    host::KernelSpec boundary;
-    if (!fdmm) {
-      boundary.def = liftFiMmKernel(config_.precision);
-      boundary.args = {{boundG, ""},       {matG, ""},        {nbrsG, ""},
-                       {betaG, ""},        {volNode, ""},     {im.prev2G, ""},
-                       {nullptr, "cells"}, {nullptr, "numB"}, {nullptr, "M"},
-                       {nullptr, "l"}};
-    } else {
-      boundary.def = liftFdMmKernel(config_.precision, config_.numBranches);
-      boundary.args = {{boundG, ""},   {matG, ""},     {nbrsG, ""},
-                       {betaG, ""},    {biG, ""},      {dG, ""},
-                       {diG, ""},      {fG, ""},       {volNode, ""},
-                       {im.prev2G, ""}, {g1G, ""},     {im.v1G, ""},
-                       {im.v2G, ""},   {nullptr, "cells"}, {nullptr, "numB"},
-                       {nullptr, "M"}, {nullptr, "l"}};
-    }
-    boundary.launchCountScalar = "numB";
-    if (specializedBuild) boundary.spec = makeSpec(boundary);
-    const host::HostPtr updated =
-        prog.writeTo(volNode, prog.kernelCall(boundary));
-    im.bndNodes.push_back(updated);
-    im.specTargets.push_back({updated, *boundary.def, makeSpec(boundary)});
-  } else {
-    // Fission schedule: one specialized kernel per launch, chained so each
-    // updates the running `next` view in place. Within a step the launches
-    // write disjoint cells (cellSorted is a permutation of the boundary
-    // set), so the chain order is immaterial to the result.
-    host::HostPtr cur = volNode;
-    for (std::size_t k = 0; k < launches.size(); ++k) {
-      const auto& L = launches[k];
-      const std::string tag = std::to_string(k);
-      const std::string countName = "count" + tag;
-      prog.declareScalar(countName.c_str(), host::ScalarType::Int);
-      auto cellG = prog.toGPU(prog.hostParam("cellsorted" + tag + "_h"));
-      auto matSG = prog.toGPU(prog.hostParam("matsorted" + tag + "_h"));
-      host::HostPtr nbrSG, posG;
-      if (L.fixedNbr < 0) {
-        nbrSG = prog.toGPU(prog.hostParam("nbrsorted" + tag + "_h"));
-      }
-      if (fdmm) {
-        posG = prog.toGPU(prog.hostParam("origpos" + tag + "_h"));
-      }
-
-      host::KernelSpec b;
-      if (!fdmm) {
-        if (L.fixedNbr >= 0) {
-          b.def = liftFiMmClassKernel(config_.precision, L.fixedNbr);
-          b.args = {{cellG, ""},        {matSG, ""},
-                    {betaG, ""},        {cur, ""},
-                    {im.prev2G, ""},    {nullptr, "cells"},
-                    {nullptr, countName}, {nullptr, "M"},
-                    {nullptr, "l"}};
-        } else {
-          b.def = liftFiMmClassMixedKernel(config_.precision);
-          b.args = {{cellG, ""},        {matSG, ""},
-                    {nbrSG, ""},        {betaG, ""},
-                    {cur, ""},          {im.prev2G, ""},
-                    {nullptr, "cells"}, {nullptr, countName},
-                    {nullptr, "M"},     {nullptr, "l"}};
-        }
-      } else {
-        if (L.fixedNbr >= 0) {
-          b.def = liftFdMmClassKernel(config_.precision, config_.numBranches,
-                                      L.fixedNbr);
-          b.args = {{cellG, ""},      {matSG, ""},    {posG, ""},
-                    {betaG, ""},      {biG, ""},      {dG, ""},
-                    {diG, ""},        {fG, ""},       {cur, ""},
-                    {im.prev2G, ""},  {g1G, ""},      {im.v1G, ""},
-                    {im.v2G, ""},     {nullptr, "cells"},
-                    {nullptr, countName}, {nullptr, "numB"},
-                    {nullptr, "M"},   {nullptr, "l"}};
-        } else {
-          b.def = liftFdMmClassMixedKernel(config_.precision,
-                                           config_.numBranches);
-          b.args = {{cellG, ""},      {matSG, ""},    {posG, ""},
-                    {nbrSG, ""},      {betaG, ""},    {biG, ""},
-                    {dG, ""},         {diG, ""},      {fG, ""},
-                    {cur, ""},        {im.prev2G, ""}, {g1G, ""},
-                    {im.v1G, ""},     {im.v2G, ""},   {nullptr, "cells"},
-                    {nullptr, countName}, {nullptr, "numB"},
-                    {nullptr, "M"},   {nullptr, "l"}};
-        }
-      }
-      b.launchCountScalar = countName;
-      if (specializedBuild) b.spec = makeSpec(b);
-      cur = prog.writeTo(cur, prog.kernelCall(b));
-      im.bndNodes.push_back(cur);
-      im.specTargets.push_back({cur, *b.def, makeSpec(b)});
+  im.step = buildStepProgram(config_.model, config_.precision,
+                             config_.numBranches, launches);
+  if (config_.kernelTier == KernelTier::Specialized) {
+    for (const auto& node : im.step.kernels) {
+      kernelOf(node).spec = classSpec(node, im.beta.size(), config_.params);
     }
   }
-  // The output copy-back is on demand via sample(), which reads one element
-  // of the last boundary node's device buffer; next_h is never bound, so no
-  // run copies the field to the host.
-  prog.toHost(im.bndNodes.back(), "next_h");
-
-  im.compiled = prog.compile(ctx, config_.precision);
+  im.compiled = im.step.prog.compile(ctx, config_.precision);
 
   // --- static bindings -----------------------------------------------------
+  // next_h stays unbound, so no run copies the field to the host: sample()
+  // reads one element of the last boundary node's device buffer instead.
   auto& c = *im.compiled;
   bindVec(c, "nbrs_h", grid_->nbrs);
   if (fused) {
@@ -317,8 +182,6 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
     c.setInt("count" + tag, static_cast<int>(L.count()));
   }
   c.setInt("nx", grid_->nx);
-  c.setInt("ny", grid_->ny);
-  c.setInt("nz", grid_->nz);
   c.setInt("nxny", grid_->nx * grid_->ny);
   c.setInt("cells", static_cast<int>(cells));
   c.setInt("numB", static_cast<int>(grid_->boundaryPoints()));
@@ -331,19 +194,19 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
 void DeviceSimulation::queueSpecializations() {
   Impl& im = *impl_;
   auto& queue = ocl::CompileQueue::instance();
-  for (std::size_t t = 0; t < im.specTargets.size(); ++t) {
-    auto& target = im.specTargets[t];
+  for (std::size_t k = 0; k < im.step.kernels.size(); ++k) {
+    const auto& node = im.step.kernels[k];
     try {
-      auto def = target.def;
+      auto def = *kernelOf(node).def;
       def.real = config_.precision;
       auto opts = codegen::CodegenOptions::fromEnv();
-      opts.spec = target.spec;
+      opts.spec = classSpec(node, im.beta.size(), config_.params);
       // Codegen — including the translation-validation gate over the
       // specialized IR — runs here on the calling thread; only the C
       // compiler subprocess is backgrounded. A kernel whose specialization
       // fails to generate or validate simply stays generic.
       Impl::PendingSwap ps;
-      ps.target = t;
+      ps.kernel = k;
       ps.gen = codegen::generateKernel(def, opts);
       ps.ticket = queue.submit(ps.gen.source, ps.gen.buildFlags);
       im.pending.push_back(std::move(ps));
@@ -351,7 +214,7 @@ void DeviceSimulation::queueSpecializations() {
       std::fprintf(stderr,
                    "lifta: specialization of kernel '%s' failed (%s); "
                    "keeping the generic kernel\n",
-                   target.def.name.c_str(), e.what());
+                   kernelOf(node).def->name.c_str(), e.what());
     }
   }
 }
@@ -365,8 +228,8 @@ void DeviceSimulation::pollSpecializations() {
       // The background build parked the object in the Jit memory cache, so
       // this buildProgram is an instant cache hit, not a second compile.
       auto program = ctx_->buildProgram(ps.gen.source, ps.gen.buildFlags);
-      im.compiled->replaceKernelProgram(im.specTargets[ps.target].node,
-                                        ps.gen, std::move(program));
+      im.compiled->replaceKernelProgram(im.step.kernels[ps.kernel], ps.gen,
+                                        std::move(program));
       ++im.swapped;
       if (im.firstSwapStep < 0) im.firstSwapStep = steps_;
     } else if (ps.ticket->state() == ocl::CompileQueue::State::Failed) {
@@ -388,7 +251,7 @@ void DeviceSimulation::waitForSpecialization() {
 }
 
 std::size_t DeviceSimulation::totalKernels() const {
-  return 1 + impl_->bndNodes.size();
+  return impl_->step.kernels.size();
 }
 
 std::size_t DeviceSimulation::specializedKernels() const {
@@ -441,25 +304,26 @@ double DeviceSimulation::step() {
     im.uploaded = true;
   } else {
     // Rotate pressure: prev2 <- prev1 <- next <- (old prev2 storage).
-    auto p1 = c.deviceBuffer(im.prev1G);
-    auto p2 = c.deviceBuffer(im.prev2G);
-    auto nx = c.deviceBuffer(im.nextG);
-    c.setDeviceBuffer(im.prev2G, p1);
-    c.setDeviceBuffer(im.prev1G, nx);
-    c.setDeviceBuffer(im.nextG, p2);
+    const StepProgram& sp = im.step;
+    auto p1 = c.deviceBuffer(sp.prev1);
+    auto p2 = c.deviceBuffer(sp.prev2);
+    auto nx = c.deviceBuffer(sp.kernels.front());
+    c.setDeviceBuffer(sp.prev2, p1);
+    c.setDeviceBuffer(sp.prev1, nx);
+    c.setDeviceBuffer(sp.kernels.front(), p2);
     if (config_.model == DeviceModel::FdMm) {
-      auto a = c.deviceBuffer(im.v1G);
-      auto b = c.deviceBuffer(im.v2G);
-      c.setDeviceBuffer(im.v1G, b);
-      c.setDeviceBuffer(im.v2G, a);
+      auto a = c.deviceBuffer(sp.v1);
+      auto b = c.deviceBuffer(sp.v2);
+      c.setDeviceBuffer(sp.v1, b);
+      c.setDeviceBuffer(sp.v2, a);
     }
     stats = c.run(/*skipUploads=*/true);
   }
   ++steps_;
   const double vol = stats.kernels.at(0).second;
   double bnd = 0.0;
-  for (std::size_t k = 0; k < im.bndNodes.size(); ++k) {
-    bnd += stats.kernels.at(1 + k).second;
+  for (std::size_t k = 1; k < im.step.kernels.size(); ++k) {
+    bnd += stats.kernels.at(k).second;
   }
   volumeMs_ += vol;
   boundaryMs_ += bnd;
@@ -472,7 +336,7 @@ double DeviceSimulation::sample(int x, int y, int z) {
   if (!im.uploaded) return 0.0;
   // The last boundary launch wrote the step's result in place, so its
   // node's buffer holds the whole updated field; read just this element.
-  const auto buf = im.compiled->deviceBuffer(im.bndNodes.back());
+  const auto buf = im.compiled->deviceBuffer(im.step.kernels.back());
   const std::size_t idx = config_.room.index(x, y, z);
   if (config_.precision == ir::ScalarKind::Double) {
     double v = 0.0;

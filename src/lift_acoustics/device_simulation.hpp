@@ -1,11 +1,12 @@
 // DeviceSimulation: the full LIFT pipeline as a library.
 //
-// Builds the Listing-5 host program over LIFT-*generated* kernels (volume +
-// FI-MM or FD-MM boundary), compiles it against the simulated OpenCL
-// runtime, and steps it in time with device-side buffer rotation — the
-// "executed iteratively" driver §V-A alludes to. This is what a downstream
-// user who wants the paper's system (rather than the reference C++ tier)
-// programs against; examples/concert_hall.cpp is a thin wrapper around it.
+// Builds the Listing-5 host program (buildStepProgram, step_program.hpp)
+// over LIFT-*generated* kernels (volume + FI-MM or FD-MM boundary), compiles
+// it against the simulated OpenCL runtime, and steps it in time with
+// device-side buffer rotation — the "executed iteratively" loop §V-A
+// alludes to. This is what a downstream user who wants the paper's system
+// (rather than the reference C++ tier) programs against;
+// examples/concert_hall.cpp is a thin wrapper around it.
 #pragma once
 
 #include <atomic>
@@ -18,10 +19,9 @@
 #include "acoustics/simulation.hpp"
 #include "host/host_program.hpp"
 #include "lift_acoustics/kernel_tier.hpp"
+#include "lift_acoustics/step_program.hpp"
 
 namespace lifta::lift_acoustics {
-
-enum class DeviceModel { FiMm, FdMm };
 
 class DeviceSimulation {
 public:
@@ -94,7 +94,7 @@ public:
 
 private:
   struct Impl;
-  /// Builds + compiles the Listing-5 host program over `mats`, with the
+  /// Builds, compiles and binds the step program over `mats`, with the
   /// boundary schedule the launch plan picks.
   std::unique_ptr<Impl> buildProgram(
       ocl::Context& ctx, const std::vector<acoustics::Material>& mats);

@@ -567,4 +567,40 @@ memory::KernelDef liftFdMmClassMixedKernel(ScalarKind real, int numBranches) {
   return fdMmClassKernel(real, numBranches, /*fixedNbr=*/-1, /*mixed=*/true);
 }
 
+std::vector<memory::KernelDef> shippedKernels() {
+  const ScalarKind f64 = ScalarKind::Double;
+  return {
+      liftVolumeKernel(f64),           liftFusedFiKernel(f64),
+      liftVolumeStencil3DKernel(f64),  liftFiMmKernel(f64),
+      liftFdMmKernel(f64, 3),          liftFiMmClassKernel(f64, 5),
+      liftFiMmClassKernel(f64, 4),     liftFiMmClassMixedKernel(f64),
+      liftFdMmClassKernel(f64, 3, 5),  liftFdMmClassKernel(f64, 3, 4),
+      liftFdMmClassMixedKernel(f64, 3),
+  };
+}
+
+analysis::AnalysisOptions acousticContracts() {
+  using arith::Expr;
+  analysis::BufferContract cell;
+  cell.valueLo = Expr(0);
+  cell.valueHi = Expr::var("cells") - Expr(1);
+  cell.injective = true;
+  analysis::BufferContract mat;
+  mat.valueLo = Expr(0);
+  mat.valueHi = Expr::var("M") - Expr(1);
+  analysis::BufferContract origPos;
+  origPos.valueLo = Expr(0);
+  origPos.valueHi = Expr::var("numB") - Expr(1);
+  origPos.injective = true;
+  analysis::BufferContract nbr;
+  nbr.valueLo = Expr(0);
+  nbr.valueHi = Expr(5);
+
+  analysis::AnalysisOptions opts;
+  opts.contracts = {{"boundaryIndices", cell}, {"cellSorted", cell},
+                    {"material", mat},         {"matSorted", mat},
+                    {"origPos", origPos},      {"nbrSorted", nbr}};
+  return opts;
+}
+
 }  // namespace lifta::lift_acoustics

@@ -18,7 +18,9 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
+#include "analysis/passes.hpp"
 #include "memory/kernel_def.hpp"
 #include "memory/specialization.hpp"
 
@@ -98,5 +100,19 @@ memory::KernelDef liftFdMmClassKernel(ir::ScalarKind real, int numBranches,
 ///         next, prev, g1, v1, v2, cells, count, numB, M, l.
 memory::KernelDef liftFdMmClassMixedKernel(ir::ScalarKind real,
                                            int numBranches);
+
+// ---- Static-analysis subjects --------------------------------------------
+
+/// Every acoustic kernel above in f64 (FD-MM with 3 branches; class kernels
+/// for the face and edge neighbor counts): the kernel subjects of lifta-lint
+/// and the analysis tests, which append the geophysics kernels.
+std::vector<memory::KernelDef> shippedKernels();
+
+/// The voxelizer's guarantees (acoustics/geometry.cpp) as race-pass buffer
+/// contracts: boundaryIndices lists distinct cell ids and material entries
+/// select one of the M materials; the fission kernels' sorted slices keep
+/// those facts (cellSorted, matSorted), origPos holds distinct positions in
+/// the original boundary order and nbrSorted a neighbor count in 0..5.
+analysis::AnalysisOptions acousticContracts();
 
 }  // namespace lifta::lift_acoustics

@@ -17,41 +17,22 @@ namespace {
 
 using arith::Expr;
 
-std::vector<memory::KernelDef> shippedKernels() {
-  return {
-      lift_acoustics::liftVolumeKernel(ir::ScalarKind::Double),
-      lift_acoustics::liftFusedFiKernel(ir::ScalarKind::Double),
-      lift_acoustics::liftVolumeStencil3DKernel(ir::ScalarKind::Double),
-      lift_acoustics::liftFiMmKernel(ir::ScalarKind::Double),
-      lift_acoustics::liftFdMmKernel(ir::ScalarKind::Double, 3),
-      geophys::liftEmEzKernel(ir::ScalarKind::Double),
-      geophys::liftEmHKernel(ir::ScalarKind::Double),
-      geophys::liftEmHxKernel(ir::ScalarKind::Double),
-      geophys::liftEmHyKernel(ir::ScalarKind::Double),
-  };
-}
-
-/// The voxelizer contracts lifta-lint ships with (tools/lifta_lint.cpp).
-AnalysisOptions acousticContracts() {
-  AnalysisOptions opts;
-  BufferContract bi;
-  bi.valueLo = Expr(0);
-  bi.valueHi = Expr::var("cells") - Expr(1);
-  bi.injective = true;
-  opts.contracts["boundaryIndices"] = bi;
-
-  BufferContract mat;
-  mat.valueLo = Expr(0);
-  mat.valueHi = Expr::var("M") - Expr(1);
-  opts.contracts["material"] = mat;
-  return opts;
+/// Every shipped kernel: the acoustic ones and the geophysics FDTD2D ones.
+std::vector<memory::KernelDef> kernelSubjects() {
+  auto defs = lift_acoustics::shippedKernels();
+  defs.insert(defs.end(),
+              {geophys::liftEmEzKernel(ir::ScalarKind::Double),
+               geophys::liftEmHKernel(ir::ScalarKind::Double),
+               geophys::liftEmHxKernel(ir::ScalarKind::Double),
+               geophys::liftEmHyKernel(ir::ScalarKind::Double)});
+  return defs;
 }
 
 TEST(Passes, ShippedKernelsHaveNoErrorFindings) {
   // Even without contracts the shipped kernels must produce zero
   // error-severity findings — scatter through uncontracted index buffers
   // degrades to warnings, never proven defects.
-  for (const auto& def : shippedKernels()) {
+  for (const auto& def : kernelSubjects()) {
     const Report r = analyzeKernelDef(def);
     EXPECT_EQ(r.count(Severity::Error), 0u)
         << def.name << ":\n" << r.toText();
@@ -61,8 +42,8 @@ TEST(Passes, ShippedKernelsHaveNoErrorFindings) {
 TEST(Passes, ShippedKernelsCleanUnderContracts) {
   // With the voxelizer contracts every warning is discharged too; only
   // info-severity notes (guarded neighbor loads etc.) may remain.
-  const AnalysisOptions opts = acousticContracts();
-  for (const auto& def : shippedKernels()) {
+  const AnalysisOptions opts = lift_acoustics::acousticContracts();
+  for (const auto& def : kernelSubjects()) {
     const Report r = analyzeKernelDef(def, opts);
     EXPECT_EQ(r.count(Severity::Error), 0u)
         << def.name << ":\n" << r.toText();
@@ -118,59 +99,6 @@ TEST(Passes, RelationalDomainDischargesMixedStrideDisjointness) {
   EXPECT_EQ(clean.count(Severity::Warning), 0u) << clean.toText();
 }
 
-TEST(Passes, AlignedWindowWritesProvenDisjointByMultipleOfContract) {
-  // Work item s writes the window [starts[s], starts[s] + W) through
-  // Concat(Skip, MapSeq, Skip). Distinct, W-aligned window starts keep the
-  // windows apart; only the contract's multipleOf says the starts are
-  // aligned, so without it the race pass cannot separate them.
-  using namespace lifta::ir;
-  memory::KernelDef def;
-  def.name = "windows";
-  const Expr n = Expr::var("N");
-  const Expr w = Expr::var("W");
-  auto src = param("src", Type::array(Type::float_(), n));
-  auto dst = param("dst", Type::array(Type::float_(), n));
-  auto starts = param("starts", Type::array(Type::int_(), Expr::var("S")));
-  auto np = param("N", Type::int_());
-  auto sp = param("S", Type::int_());
-  auto wp = param("W", Type::int_());
-  auto s = param("s", nullptr);
-  auto b = param("b", nullptr);
-  auto j = param("j", nullptr);
-  def.params = {src, dst, starts, np, sp, wp};
-  def.body = mapGlb(
-      lambda({s},
-             let(b, s,
-                 concat({skip(Type::float_(), b),
-                         mapSeq(lambda({j}, arrayAccess(src, b + j) *
-                                                litFloat(2.0f)),
-                                iota(w)),
-                         skip(Type::float_(), np - wp - b)}))),
-      starts);
-  def.outAliasParam = "dst";
-
-  BufferContract aligned;
-  aligned.valueLo = Expr(0);
-  aligned.valueHi = n - w;
-  aligned.injective = true;
-  aligned.multipleOf = w;
-  AnalysisOptions opts;
-  opts.contracts["starts"] = aligned;
-  const Report clean = analyzeKernelDef(def, opts);
-  EXPECT_EQ(clean.count(Severity::Error), 0u) << clean.toText();
-  EXPECT_EQ(clean.count(Severity::Warning), 0u) << clean.toText();
-
-  opts.contracts["starts"].multipleOf.reset();
-  const Report unaligned = analyzeKernelDef(def, opts);
-  std::size_t raceWarnings = 0;
-  for (const auto& d : unaligned.diagnostics) {
-    if (d.severity == Severity::Warning && d.pass == PassId::Race) {
-      ++raceWarnings;
-    }
-  }
-  EXPECT_GE(raceWarnings, 1u) << unaligned.toText();
-}
-
 // --- the codegen-time verification gate -------------------------------------
 
 /// A kernel with a proven out-of-bounds read: A[i+1] over i in [0, N-1].
@@ -213,7 +141,7 @@ TEST(Verify, DisablingTheGateSkipsAnalysis) {
 TEST(Verify, ShippedKernelsPassTheGate) {
   VerifyGuard guard;
   setVerifyEnabled(true);
-  for (const auto& def : shippedKernels()) {
+  for (const auto& def : kernelSubjects()) {
     EXPECT_NO_THROW(verifyKernel(def)) << def.name;
   }
 }

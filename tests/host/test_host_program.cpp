@@ -13,61 +13,20 @@
 #include "common/rng.hpp"
 #include "common/string_util.hpp"
 #include "lift_acoustics/kernels.hpp"
+#include "lift_acoustics/step_program.hpp"
 
 namespace lifta::host {
 namespace {
 
 using namespace lifta::acoustics;
 
-/// Builds the Listing 5 host program over the LIFT-generated kernels and
-/// returns (program, handles needed by the test).
-struct Listing5 {
-  HostProgram prog;
-  HostPtr prev1G, prev2G, nextG, updated;
-
-  Listing5() {
-    for (const char* s : {"nx", "nxny", "cells", "numB", "M"}) {
-      prog.declareScalar(s, ScalarType::Int);
-    }
-    for (const char* s : {"l", "l2"}) {
-      prog.declareScalar(s, ScalarType::Real);
-    }
-
-    auto prev1H = prog.hostParam("prev1_h");   // u^{t-1} (curr)
-    auto prev2H = prog.hostParam("prev2_h");   // u^{t-2} (prev)
-    auto nbrsH = prog.hostParam("nbrs_h");
-    auto boundH = prog.hostParam("boundaries_h");
-    auto matH = prog.hostParam("material_h");
-    auto betaH = prog.hostParam("beta_h");
-
-    prev1G = prog.toGPU(prev1H);
-    prev2G = prog.toGPU(prev2H);
-    auto nbrsG = prog.toGPU(nbrsH);
-    auto boundG = prog.toGPU(boundH);
-    auto matG = prog.toGPU(matH);
-    auto betaG = prog.toGPU(betaH);
-
-    // val next_g = OclKernel(volume_handling_kernel, prev2_g, prev1_g, ...)
-    KernelSpec volume;
-    volume.def = lift_acoustics::liftVolumeKernel(ir::ScalarKind::Double);
-    volume.args = {{prev2G, ""},  {prev1G, ""}, {nbrsG, ""}, {nullptr, "nx"},
-                   {nullptr, "nxny"}, {nullptr, "cells"}, {nullptr, "l2"}};
-    volume.launchCountScalar = "cells";
-    nextG = prog.kernelCall(volume);
-
-    // ToHost(WriteTo(next_g, OclKernel(boundary_handling_kernel, ...)))
-    KernelSpec boundary;
-    boundary.def = lift_acoustics::liftFiMmKernel(ir::ScalarKind::Double);
-    // Listing 5 passes prev2_g (t-2) to the boundary kernel.
-    boundary.args = {{boundG, ""},      {matG, ""},        {nbrsG, ""},
-                     {betaG, ""},       {nextG, ""},       {prev2G, ""},
-                     {nullptr, "cells"}, {nullptr, "numB"}, {nullptr, "M"},
-                     {nullptr, "l"}};
-    boundary.launchCountScalar = "numB";
-    updated = prog.writeTo(nextG, prog.kernelCall(boundary));
-    prog.toHost(updated, "next_h");
-  }
-};
+/// The device tier's fused FI-MM step program (lift_acoustics/step_program):
+/// the uploads, val next_g = OclKernel(volume, prev2_g, prev1_g, ...), then
+/// ToHost(WriteTo(next_g, OclKernel(boundary, ...))).
+lift_acoustics::StepProgram listing5() {
+  return lift_acoustics::buildStepProgram(lift_acoustics::DeviceModel::FiMm,
+                                          ir::ScalarKind::Double, 0, {});
+}
 
 /// Binds every Listing 5 input and scalar (not the output): prev1_h is
 /// t-1 (curr), prev2_h is t-2 (prev).
@@ -122,7 +81,7 @@ TEST(HostProgram, Listing5TwoKernelStepMatchesReference) {
                   params.l());
 
   // LIFT host program: prev1_h binds t-1 (curr), prev2_h binds t-2 (prev).
-  Listing5 l5;
+  auto l5 = listing5();
   ocl::Context ctx;
   auto compiled = l5.prog.compile(ctx, ir::ScalarKind::Double);
   bindListing5Inputs(*compiled, grid, curr, prev, beta, params);
@@ -140,7 +99,7 @@ TEST(HostProgram, Listing5TwoKernelStepMatchesReference) {
 }
 
 TEST(HostProgram, RepeatedRunsWithSkipUploadsReuseDeviceState) {
-  Listing5 l5;
+  auto l5 = listing5();
   Room room{RoomShape::Box, 10, 10, 10};
   const RoomGrid grid = voxelize(room, 2);
   SimParams params;
@@ -160,10 +119,10 @@ TEST(HostProgram, RepeatedRunsWithSkipUploadsReuseDeviceState) {
 
   // Re-run with uploads skipped and rotated device buffers:
   // prev2 <- prev1, prev1 <- next (in-place pointer swap on the device).
-  auto prev1Buf = compiled->deviceBuffer(l5.prev1G);
-  auto nextBuf = compiled->deviceBuffer(l5.nextG);
-  compiled->setDeviceBuffer(l5.prev2G, prev1Buf);
-  compiled->setDeviceBuffer(l5.prev1G, nextBuf);
+  auto prev1Buf = compiled->deviceBuffer(l5.prev1);
+  auto nextBuf = compiled->deviceBuffer(l5.kernels.front());
+  compiled->setDeviceBuffer(l5.prev2, prev1Buf);
+  compiled->setDeviceBuffer(l5.prev1, nextBuf);
   const auto stats = compiled->run(/*skipUploads=*/true);
   EXPECT_DOUBLE_EQ(stats.transferMs >= 0.0, true);
 
@@ -202,8 +161,8 @@ TEST(HostProgram, OnlyBoundOutputsAreCopiedBack) {
                   refNext.data(), static_cast<std::int64_t>(grid.boundaryPoints()),
                   params.l());
 
-  Listing5 l5;
-  l5.prog.toHost(l5.prev1G, "curr_h");
+  auto l5 = listing5();
+  l5.prog.toHost(l5.prev1, "curr_h");
   ocl::Context ctx;
   auto compiled = l5.prog.compile(ctx, ir::ScalarKind::Double);
   bindListing5Inputs(*compiled, grid, curr, prev, beta, params);
@@ -216,13 +175,13 @@ TEST(HostProgram, OnlyBoundOutputsAreCopiedBack) {
   compiled->run();
   EXPECT_EQ(currBack, curr);
   std::vector<double> next(cells, 0.0);
-  compiled->deviceBuffer(l5.updated)
+  compiled->deviceBuffer(l5.kernels.back())
       ->read(next.data(), cells * sizeof(double), 0);
   EXPECT_EQ(next, refNext);
 }
 
 TEST(HostProgram, GeneratedHostCodeMatchesTableIShapes) {
-  Listing5 l5;
+  auto l5 = listing5();
   const std::string code =
       l5.prog.generateHostCode(ir::ScalarKind::Double);
   // Table I host rows.
@@ -242,45 +201,10 @@ TEST(HostProgram, FdMmHostCodeShowsThreeInPlaceArrays) {
   // The generated host code for the FD-MM two-kernel program must show the
   // boundary kernel writing in place (no fresh output) while the volume
   // kernel allocates one.
-  HostProgram prog;
-  for (const char* s : {"nx", "nxny", "cells", "numB", "M"}) {
-    prog.declareScalar(s, ScalarType::Int);
-  }
-  for (const char* s : {"l", "l2"}) {
-    prog.declareScalar(s, ScalarType::Real);
-  }
-  auto prev1 = prog.toGPU(prog.hostParam("prev1_h"));
-  auto prev2 = prog.toGPU(prog.hostParam("prev2_h"));
-  auto nbrs = prog.toGPU(prog.hostParam("nbrs_h"));
-  auto bound = prog.toGPU(prog.hostParam("boundaries_h"));
-  auto mat = prog.toGPU(prog.hostParam("material_h"));
-  auto beta = prog.toGPU(prog.hostParam("beta_h"));
-  auto bi = prog.toGPU(prog.hostParam("bi_h"));
-  auto d = prog.toGPU(prog.hostParam("d_h"));
-  auto di = prog.toGPU(prog.hostParam("di_h"));
-  auto f = prog.toGPU(prog.hostParam("f_h"));
-  auto g1 = prog.toGPU(prog.hostParam("g1_h"));
-  auto v1 = prog.toGPU(prog.hostParam("v1_h"));
-  auto v2 = prog.toGPU(prog.hostParam("v2_h"));
-
-  KernelSpec volume;
-  volume.def = lift_acoustics::liftVolumeKernel(ir::ScalarKind::Double);
-  volume.args = {{prev2, ""},     {prev1, ""},       {nbrs, ""},
-                 {nullptr, "nx"}, {nullptr, "nxny"}, {nullptr, "cells"},
-                 {nullptr, "l2"}};
-  volume.launchCountScalar = "cells";
-  auto nextG = prog.kernelCall(volume);
-
-  KernelSpec fdmm;
-  fdmm.def = lift_acoustics::liftFdMmKernel(ir::ScalarKind::Double, 3);
-  fdmm.args = {{bound, ""},  {mat, ""},      {nbrs, ""},  {beta, ""},
-               {bi, ""},     {d, ""},        {di, ""},    {f, ""},
-               {nextG, ""},  {prev2, ""},    {g1, ""},    {v1, ""},
-               {v2, ""},     {nullptr, "cells"}, {nullptr, "numB"},
-               {nullptr, "M"}, {nullptr, "l"}};
-  fdmm.launchCountScalar = "numB";
-  auto updated = prog.writeTo(nextG, prog.kernelCall(fdmm));
-  prog.toHost(updated, "next_h");
+  const HostProgram prog =
+      lift_acoustics::buildStepProgram(lift_acoustics::DeviceModel::FdMm,
+                                       ir::ScalarKind::Double, 3, {})
+          .prog;
 
   const std::string code = prog.generateHostCode(ir::ScalarKind::Double);
   EXPECT_TRUE(contains(code, "clEnqueueNDRangeKernel(queue, lift_volume_step"));
@@ -296,7 +220,7 @@ TEST(HostProgram, FdMmHostCodeShowsThreeInPlaceArrays) {
 }
 
 TEST(HostProgram, ErrorsOnUnboundInputs) {
-  Listing5 l5;
+  auto l5 = listing5();
   ocl::Context ctx;
   auto compiled = l5.prog.compile(ctx, ir::ScalarKind::Double);
   EXPECT_THROW(compiled->run(), Error);

@@ -2,8 +2,10 @@
 // scatter-write race detector, translation validation of the optimizer,
 // host-program lint, host dataflow def-use lint) over every shipped model —
 // the acoustic volume/boundary kernels (FI, FI-MM, FD-MM, the Listing-6
-// stencil variant) and the geophysics FDTD2D kernels — plus
-// the Listing-5 host programs that schedule them.
+// stencil variant, the fission class kernels) and the geophysics FDTD2D
+// kernels — plus the host programs that schedule them: the device tier's
+// own Listing-5 step programs (buildStepProgram), fused and fission, and
+// the FDTD2D step.
 //
 // Usage: lifta-lint [--text] [--no-contracts] [--werror] [--subject S]
 //   --text          human-readable findings instead of the JSON document
@@ -26,108 +28,24 @@
 #include "analysis/equiv.hpp"
 #include "analysis/host_lint.hpp"
 #include "analysis/passes.hpp"
-#include "arith/expr.hpp"
 #include "geophys/lift_kernels.hpp"
 #include "host/host_program.hpp"
 #include "lift_acoustics/kernels.hpp"
+#include "lift_acoustics/step_program.hpp"
 
 namespace {
 
-using lifta::arith::Expr;
 using namespace lifta;
 using namespace lifta::analysis;
 
-/// Runtime facts about the voxelizer's outputs (acoustics/geometry.cpp):
-/// boundaryIndices lists distinct cell ids, material entries select one of
-/// the M materials.
-AnalysisOptions acousticContracts() {
-  AnalysisOptions opts;
-  BufferContract bi;
-  bi.valueLo = Expr(0);
-  bi.valueHi = Expr::var("cells") - Expr(1);
-  bi.injective = true;
-  opts.contracts["boundaryIndices"] = bi;
-
-  BufferContract mat;
-  mat.valueLo = Expr(0);
-  mat.valueHi = Expr::var("M") - Expr(1);
-  opts.contracts["material"] = mat;
-
-  // Per-launch slices of the BoundaryClassPlan sorted layout (boundary
-  // kernel fission): cellSorted is a permutation slice of boundaryIndices,
-  // matSorted selects a material, origPos is the point's slot in the
-  // original boundary order (distinct per point, bounded by the full set).
-  BufferContract cellSorted = bi;
-  opts.contracts["cellSorted"] = cellSorted;
-
-  BufferContract matSorted = mat;
-  opts.contracts["matSorted"] = matSorted;
-
-  BufferContract origPos;
-  origPos.valueLo = Expr(0);
-  origPos.valueHi = Expr::var("numB") - Expr(1);
-  origPos.injective = true;
-  opts.contracts["origPos"] = origPos;
-
-  BufferContract nbrSorted;
-  nbrSorted.valueLo = Expr(0);
-  nbrSorted.valueHi = Expr(5);
-  opts.contracts["nbrSorted"] = nbrSorted;
-  return opts;
-}
-
-/// The Listing-5 two-kernel acoustic step (volume + boundary, §IV-A).
-host::HostProgram listing5Program(bool fdMm) {
-  using host::KernelSpec;
-  host::HostProgram prog;
-  for (const char* s : {"nx", "nxny", "cells", "numB", "M"}) {
-    prog.declareScalar(s, host::ScalarType::Int);
-  }
-  for (const char* s : {"l", "l2"}) {
-    prog.declareScalar(s, host::ScalarType::Real);
-  }
-  auto prev1G = prog.toGPU(prog.hostParam("prev1_h"));
-  auto prev2G = prog.toGPU(prog.hostParam("prev2_h"));
-  auto nbrsG = prog.toGPU(prog.hostParam("nbrs_h"));
-  auto boundG = prog.toGPU(prog.hostParam("boundaries_h"));
-  auto matG = prog.toGPU(prog.hostParam("material_h"));
-  auto betaG = prog.toGPU(prog.hostParam("beta_h"));
-
-  KernelSpec volume;
-  volume.def = lift_acoustics::liftVolumeKernel(ir::ScalarKind::Double);
-  volume.args = {{prev2G, ""},       {prev1G, ""},      {nbrsG, ""},
-                 {nullptr, "nx"},    {nullptr, "nxny"}, {nullptr, "cells"},
-                 {nullptr, "l2"}};
-  volume.launchCountScalar = "cells";
-  auto nextG = prog.kernelCall(volume);
-
-  KernelSpec boundary;
-  if (fdMm) {
-    boundary.def = lift_acoustics::liftFdMmKernel(ir::ScalarKind::Double, 3);
-    auto biG = prog.toGPU(prog.hostParam("BI_h"));
-    auto dG = prog.toGPU(prog.hostParam("D_h"));
-    auto diG = prog.toGPU(prog.hostParam("DI_h"));
-    auto fG = prog.toGPU(prog.hostParam("F_h"));
-    auto g1G = prog.toGPU(prog.hostParam("g1_h"));
-    auto v1G = prog.toGPU(prog.hostParam("v1_h"));
-    auto v2G = prog.toGPU(prog.hostParam("v2_h"));
-    boundary.args = {{boundG, ""},       {matG, ""},        {nbrsG, ""},
-                     {betaG, ""},        {biG, ""},         {dG, ""},
-                     {diG, ""},          {fG, ""},          {nextG, ""},
-                     {prev2G, ""},       {g1G, ""},         {v1G, ""},
-                     {v2G, ""},          {nullptr, "cells"}, {nullptr, "numB"},
-                     {nullptr, "M"},     {nullptr, "l"}};
-  } else {
-    boundary.def = lift_acoustics::liftFiMmKernel(ir::ScalarKind::Double);
-    boundary.args = {{boundG, ""},       {matG, ""},        {nbrsG, ""},
-                     {betaG, ""},        {nextG, ""},       {prev2G, ""},
-                     {nullptr, "cells"}, {nullptr, "numB"}, {nullptr, "M"},
-                     {nullptr, "l"}};
-  }
-  boundary.launchCountScalar = "numB";
-  auto updated = prog.writeTo(nextG, prog.kernelCall(boundary));
-  prog.toHost(updated, "next_h");
-  return prog;
+/// The device tier's fission plan for its base room, a 96x72x56 box at the
+/// default threshold: six face launches, an edge launch and a mixed corner
+/// launch.
+std::vector<acoustics::BoundaryLaunch> fissionPlan() {
+  const auto grid =
+      acoustics::voxelize({acoustics::RoomShape::Box, 96, 72, 56}, 1);
+  return acoustics::planBoundaryLaunches(grid.boundaryClasses,
+                                         acoustics::kBoundaryFissionMinPoints);
 }
 
 /// One FDTD2D time step: Ez update then the fused H update, both in place.
@@ -220,28 +138,15 @@ int main(int argc, char** argv) {
   };
 
   const AnalysisOptions opts =
-      contracts ? acousticContracts() : AnalysisOptions{};
+      contracts ? lift_acoustics::acousticContracts() : AnalysisOptions{};
 
   std::vector<Report> reports;
-  const auto kernels = {
-      lift_acoustics::liftVolumeKernel(ir::ScalarKind::Double),
-      lift_acoustics::liftFusedFiKernel(ir::ScalarKind::Double),
-      lift_acoustics::liftVolumeStencil3DKernel(ir::ScalarKind::Double),
-      lift_acoustics::liftFiMmKernel(ir::ScalarKind::Double),
-      lift_acoustics::liftFdMmKernel(ir::ScalarKind::Double, 3),
-      // Topology-class fission kernels: face (nbr 5), edge (nbr 4) and the
-      // mixed fused-fallback variants.
-      lift_acoustics::liftFiMmClassKernel(ir::ScalarKind::Double, 5),
-      lift_acoustics::liftFiMmClassKernel(ir::ScalarKind::Double, 4),
-      lift_acoustics::liftFiMmClassMixedKernel(ir::ScalarKind::Double),
-      lift_acoustics::liftFdMmClassKernel(ir::ScalarKind::Double, 3, 5),
-      lift_acoustics::liftFdMmClassKernel(ir::ScalarKind::Double, 3, 4),
-      lift_acoustics::liftFdMmClassMixedKernel(ir::ScalarKind::Double, 3),
-      geophys::liftEmEzKernel(ir::ScalarKind::Double),
-      geophys::liftEmHKernel(ir::ScalarKind::Double),
-      geophys::liftEmHxKernel(ir::ScalarKind::Double),
-      geophys::liftEmHyKernel(ir::ScalarKind::Double),
-  };
+  auto kernels = lift_acoustics::shippedKernels();
+  kernels.insert(kernels.end(),
+                 {geophys::liftEmEzKernel(ir::ScalarKind::Double),
+                  geophys::liftEmHKernel(ir::ScalarKind::Double),
+                  geophys::liftEmHxKernel(ir::ScalarKind::Double),
+                  geophys::liftEmHyKernel(ir::ScalarKind::Double)});
   for (const auto& def : kernels) {
     if (selected(def.name)) {
       Report r = analyzeKernelDef(def, opts);
@@ -265,8 +170,18 @@ int main(int argc, char** argv) {
     std::string name;
   };
   std::vector<HostSubject> hosts;
-  hosts.push_back({listing5Program(/*fdMm=*/false), "listing5-fimm"});
-  hosts.push_back({listing5Program(/*fdMm=*/true), "listing5-fdmm"});
+  using lift_acoustics::DeviceModel;
+  const auto step = [](DeviceModel model,
+                       const std::vector<acoustics::BoundaryLaunch>& plan) {
+    return lift_acoustics::buildStepProgram(model, ir::ScalarKind::Double, 3,
+                                            plan)
+        .prog;
+  };
+  const auto fission = fissionPlan();
+  hosts.push_back({step(DeviceModel::FiMm, {}), "listing5-fimm"});
+  hosts.push_back({step(DeviceModel::FdMm, {}), "listing5-fdmm"});
+  hosts.push_back({step(DeviceModel::FiMm, fission), "listing5-fimm-fission"});
+  hosts.push_back({step(DeviceModel::FdMm, fission), "listing5-fdmm-fission"});
   hosts.push_back({emStepProgram(), "fdtd2d-step"});
   for (const auto& h : hosts) {
     if (!selected(h.name)) continue;
