@@ -1,12 +1,12 @@
 #include "analysis/dataflow.hpp"
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "analysis/access.hpp"
-#include "analysis/verify.hpp"
 #include "common/error.hpp"
 #include "ir/typecheck.hpp"
 #include "memory/allocator.hpp"
@@ -54,7 +54,6 @@ class DataflowLinter {
 
   Report run() {
     collectActions();
-    checkUninitializedReads();
     checkDeadWrites();
     checkRedundantUploads();
     return std::move(report_);
@@ -77,38 +76,36 @@ class DataflowLinter {
     report_.add(std::move(d));
   }
 
-  /// Per-parameter read/write sets of a generated kernel, in ABI slot order
-  /// (matching KernelSpec::args). Nullopt for handwritten or malformed
-  /// kernels — their argument use is unknown.
+  /// Per-parameter read/write sets of a kernel call, in ABI slot order
+  /// (matching KernelSpec::args). Nullopt for malformed kernels — their
+  /// argument use is unknown.
   const std::vector<ParamUse>* usesFor(const HostNode* call) {
     auto it = uses_.find(call);
     if (it != uses_.end()) return it->second ? &*it->second : nullptr;
     std::optional<std::vector<ParamUse>> uses;
-    if (call->kernel.def.has_value()) {
-      try {
-        auto def = *call->kernel.def;
-        ir::typecheck(def.body);
-        const auto plan = memory::planMemory(def);
-        const KernelAccessInfo info = collectAccesses(def);
-        std::map<std::string, ParamUse> byName;
-        for (const auto& a : info.accesses) {
-          if (a.isPrivate) continue;
-          if (a.isWrite) byName[a.buffer].write = true;
-          else byName[a.buffer].read = true;
-        }
-        std::vector<ParamUse> slots;
-        for (std::size_t i = 0; i < call->kernel.args.size(); ++i) {
-          ParamUse u;
-          if (i < plan.args.size()) {
-            auto f = byName.find(plan.args[i].name);
-            if (f != byName.end()) u = f->second;
-          }
-          slots.push_back(u);
-        }
-        uses = std::move(slots);
-      } catch (const Error&) {
-        uses.reset();  // malformed: codegen reports its own errors
+    try {
+      const auto& def = call->kernel.def;
+      ir::typecheck(def.body);
+      const auto plan = memory::planMemory(def);
+      const KernelAccessInfo info = collectAccesses(def);
+      std::map<std::string, ParamUse> byName;
+      for (const auto& a : info.accesses) {
+        if (a.isPrivate) continue;
+        if (a.isWrite) byName[a.buffer].write = true;
+        else byName[a.buffer].read = true;
       }
+      std::vector<ParamUse> slots;
+      for (std::size_t i = 0; i < call->kernel.args.size(); ++i) {
+        ParamUse u;
+        if (i < plan.args.size()) {
+          auto f = byName.find(plan.args[i].name);
+          if (f != byName.end()) u = f->second;
+        }
+        slots.push_back(u);
+      }
+      uses = std::move(slots);
+    } catch (const Error&) {
+      uses.reset();  // malformed: codegen reports its own errors
     }
     auto [ins, _] = uses_.emplace(call, std::move(uses));
     return ins->second ? &*ins->second : nullptr;
@@ -116,9 +113,8 @@ class DataflowLinter {
 
   /// Whether a call produces a dense implicit output buffer.
   bool callHasOut(const HostNode* call) {
-    if (!call->kernel.def.has_value()) return false;
     try {
-      auto def = *call->kernel.def;
+      const auto& def = call->kernel.def;
       ir::typecheck(def.body);
       return memory::planMemory(def).hasOutBuffer;
     } catch (const Error&) {
@@ -165,7 +161,7 @@ class DataflowLinter {
       for (const auto& a : n->kernel.args) {
         if (a.buffer && a.buffer->op != HOp::Param) {
           const HostNode* ident = resolveBuffer(a.buffer.get());
-          // Unknown use (handwritten kernel): count as a definite read —
+          // Unknown use (malformed kernel): count as a definite read —
           // observers suppress warnings — but never as a writer.
           const bool reads = uses == nullptr || (*uses)[slot].read;
           const bool writes = uses != nullptr && (*uses)[slot].write;
@@ -191,33 +187,6 @@ class DataflowLinter {
       }
     }
     return false;
-  }
-
-  void checkUninitializedReads() {
-    for (const auto& [ident, use] : buffers_) {
-      if (ident->op != HOp::DeviceAlloc) continue;
-      for (const HostNode* r : use.readers) {
-        bool anyWriter = false;
-        bool fullWriter = false;
-        for (const HostNode* w : use.writers) {
-          if (w == r || !reachable(r, w)) continue;
-          anyWriter = true;
-          if (use.fullWriters.count(w) != 0) fullWriter = true;
-        }
-        if (!anyWriter) {
-          add(Severity::Error, r,
-              "uninitialized read: '" + label(r) +
-                  "' reads device allocation '" + label(ident) +
-                  "' before any kernel writes it");
-        } else if (!fullWriter) {
-          add(Severity::Warning, r,
-              "possibly uninitialized read: '" + label(r) +
-                  "' reads device allocation '" + label(ident) +
-                  "' after only partial (scatter) writes; cells outside the "
-                  "written set are undefined");
-        }
-      }
-    }
   }
 
   void checkDeadWrites() {
@@ -258,8 +227,7 @@ class DataflowLinter {
           add(Severity::Warning, ident,
               "redundant upload: '" + label(ident) +
                   "' is fully overwritten by '" + label(w) +
-                  "' before any read; deviceAlloc(...) would avoid the "
-                  "transfer");
+                  "' before any read, so the transfer is wasted");
           break;
         }
       }
@@ -277,20 +245,6 @@ class DataflowLinter {
 Report lintHostDataflow(const host::HostProgram& prog,
                         const std::string& subjectName) {
   return DataflowLinter(prog, subjectName).run();
-}
-
-void verifyHostDataflow(const host::HostProgram& prog,
-                        const std::string& subjectName) {
-  if (!verifyEnabled()) return;
-  const Report report = lintHostDataflow(prog, subjectName);
-  if (!report.hasErrors()) return;
-  std::string msg = "host program failed dataflow verification:\n";
-  for (const auto& d : report.diagnostics) {
-    if (d.severity != Severity::Error) continue;
-    msg += "  " + std::string(passName(d.pass)) + ": " + d.message + "\n";
-  }
-  msg += "(set LIFTA_SKIP_VERIFY=1 to bypass)";
-  throw AnalysisError(msg);
 }
 
 }  // namespace lifta::analysis

@@ -1,18 +1,15 @@
 // Host-program dataflow lint: def-use / liveness reasoning over *device
 // buffer identities* of the HostProgram DAG, complementing host_lint's
-// structural checks. A buffer identity is the node that owns the memory
-// (ToGPU, DeviceAlloc, a value-producing KernelCall); WriteTo aliases its
-// destination. Per-kernel read/write sets come from the kernel access
-// collector (src/analysis/access), so "reads buffer" and "writes buffer"
-// are facts about the generated code, not guesses from argument order.
+// structural checks. A buffer identity is the node that owns the memory:
+// a ToGPU upload or a value-producing KernelCall (its fresh output); WriteTo
+// aliases its destination. Per-kernel read/write sets come from the kernel
+// access collector (src/analysis/access), so "reads buffer" and "writes
+// buffer" are facts about the generated code, not guesses from argument
+// order.
 //
-// Rules:
-//  * uninitialized read (Error/Warning): a definite read of a DeviceAlloc
-//    buffer that does not depend on any writer of that buffer is an Error;
-//    one that depends only on *partial* writers (effect-only scatter
-//    kernels, writable parameters) is a Warning — cells outside the written
-//    set are still uninitialized. Depending on a *full* writer (a host
-//    WriteTo whose kernel produces a dense implicit output) is clean.
+// Rules (neither is an Error, so the pass has no verify entry point; it
+// runs where warnings are enforced: lifta-lint --werror and the step
+// program tests):
 //  * dead write (Warning/Info): a buffer some kernel writes but nothing in
 //    the program reads — not another kernel, not the kernel itself on its
 //    next iteration, not a ToHost readback. The work is computed and
@@ -22,8 +19,7 @@
 //    static DAG cannot see.
 //  * redundant upload (Warning): a ToGPU transfer whose buffer is fully
 //    overwritten (dense WriteTo, destination not read by the writing
-//    kernel) before any reader can observe the uploaded contents —
-//    deviceAlloc would skip the transfer.
+//    kernel) before any reader can observe the uploaded contents.
 //
 // Like host_lint, the header lives in src/analysis but the implementation
 // compiles into lifta_host (it needs host/host_program.hpp; lifta_analysis
@@ -37,11 +33,6 @@ namespace lifta::analysis {
 
 /// Runs the dataflow rules; never throws on findings.
 Report lintHostDataflow(const host::HostProgram& prog,
-                        const std::string& subjectName = "host-program");
-
-/// Throws AnalysisError on error-severity findings (no-op when verification
-/// is disabled via LIFTA_SKIP_VERIFY / setVerifyEnabled(false)).
-void verifyHostDataflow(const host::HostProgram& prog,
                         const std::string& subjectName = "host-program");
 
 }  // namespace lifta::analysis

@@ -72,21 +72,18 @@ class HostLinter {
     report_.add(std::move(d));
   }
 
-  /// Whether a generated kernel call produces a value (an implicit output
-  /// buffer). Handwritten calls never do — the runtime cannot know their
-  /// result buffer. Unplannable kernels are left to codegen's own errors.
+  /// Whether a kernel call produces a value (an implicit output buffer).
+  /// Unplannable kernels are left to codegen's own errors.
   bool callHasValue(const HostNode* call) {
     auto it = hasValue_.find(call);
     if (it != hasValue_.end()) return it->second;
     bool value = false;
-    if (call->kernel.def.has_value()) {
-      try {
-        auto def = *call->kernel.def;
-        ir::typecheck(def.body);
-        value = memory::planMemory(def).hasOutBuffer;
-      } catch (const Error&) {
-        value = true;  // malformed: don't pile lint errors on top
-      }
+    try {
+      const auto& def = call->kernel.def;
+      ir::typecheck(def.body);
+      value = memory::planMemory(def).hasOutBuffer;
+    } catch (const Error&) {
+      value = true;  // malformed: don't pile lint errors on top
     }
     hasValue_[call] = value;
     return value;
@@ -166,10 +163,6 @@ class HostLinter {
         add(Severity::Warning, n.get(),
             "unused transfer: '" + label(n.get()) +
                 "' is never read by any kernel or output");
-      } else if (n->op == HOp::DeviceAlloc) {
-        add(Severity::Warning, n.get(),
-            "unused allocation: '" + label(n.get()) +
-                "' is never touched by any kernel or output");
       }
     }
   }
@@ -207,19 +200,17 @@ class HostLinter {
         actions.push_back({n.get(), resolveBuffer(n->dest.get()), true});
       }
       if (n->op != HOp::KernelCall) continue;
-      // Generated kernels declare which parameters they write (the memory
-      // plan's writable flags, in ABI slot order). Handwritten kernels give
-      // us nothing to go on; treat their arguments as reads.
+      // Kernels declare which parameters they write (the memory plan's
+      // writable flags, in ABI slot order). A malformed kernel gives us
+      // nothing to go on; treat its arguments as reads.
       std::vector<bool> writable;
-      if (n->kernel.def.has_value()) {
-        try {
-          auto def = *n->kernel.def;
-          ir::typecheck(def.body);
-          const auto plan = memory::planMemory(def);
-          for (const auto& arg : plan.args) writable.push_back(arg.writable);
-        } catch (const Error&) {
-          writable.clear();
-        }
+      try {
+        const auto& def = n->kernel.def;
+        ir::typecheck(def.body);
+        const auto plan = memory::planMemory(def);
+        for (const auto& arg : plan.args) writable.push_back(arg.writable);
+      } catch (const Error&) {
+        writable.clear();
       }
       std::size_t slot = 0;
       for (const auto& a : n->kernel.args) {

@@ -232,7 +232,6 @@ struct RaceChecker {
   /// relational rule bails out on. Sound: the substitution overapproximates
   /// the reachable (g, g') pairs, and only Yes verdicts are consumed.
   bool relationalDisjoint(const Expr& idx1, const Expr& idx2) {
-    if (!opts.relational) return false;
     const std::string& g = *info.wiVar;
     const std::string gp = g + kPrimeSuffix;
     const Expr gMax = info.wiCount - Expr(1);

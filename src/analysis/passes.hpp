@@ -32,11 +32,6 @@ struct BufferContract {
 
 struct AnalysisOptions {
   std::map<std::string, BufferContract> contracts;  // by buffer (param) name
-  /// Enables the relational difference-bound rule of the race pass: the two
-  /// work items of a candidate pair are related by g' = g + d, d in
-  /// [1, G-1], which separates accesses with different work-item strides
-  /// that the non-relational rules bail out on.
-  bool relational = true;
 };
 
 /// Runs bounds + race analysis over one kernel definition.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "analysis/dataflow.hpp"
 #include "analysis/host_lint.hpp"
 #include "common/error.hpp"
 #include "common/string_util.hpp"
@@ -11,6 +10,11 @@
 namespace lifta::host {
 
 namespace {
+/// Work-group size of every launch, an upper bound: launchRange shrinks
+/// the work-group of a small chunk-scheduled launch so it reaches every
+/// pool thread.
+constexpr std::size_t kLocalSize = 64;
+
 HostPtr makeNode(HOp op) {
   auto n = std::make_shared<HostNode>();
   n->op = op;
@@ -46,15 +50,8 @@ HostPtr HostProgram::toGPU(HostPtr hostValue) {
   return record(n);
 }
 
-HostPtr HostProgram::deviceAlloc(const std::string& name) {
-  auto n = makeNode(HOp::DeviceAlloc);
-  n->name = name;
-  return record(n);
-}
-
 HostPtr HostProgram::kernelCall(KernelSpec spec) {
-  LIFTA_CHECK(spec.def.has_value() || !spec.source.empty(),
-              "kernel call needs a definition or source");
+  LIFTA_CHECK(spec.def.body != nullptr, "kernel call needs a kernel body");
   for (const auto& a : spec.args) {
     if (a.buffer == nullptr && a.scalarName.empty()) {
       throw Error("kernel argument is neither buffer nor scalar");
@@ -67,7 +64,7 @@ HostPtr HostProgram::kernelCall(KernelSpec spec) {
   LIFTA_CHECK(scalars_.count(spec.launchCountScalar) != 0,
               "launch count scalar is not declared");
   auto n = makeNode(HOp::KernelCall);
-  n->name = spec.def ? spec.def->name : spec.entry;
+  n->name = spec.def.name;
   n->kernel = std::move(spec);
   return record(n);
 }
@@ -116,24 +113,13 @@ std::string HostProgram::generateHostCode(ir::ScalarKind real) const {
         valueName[node.get()] = node->name;
         break;
 
-      case HOp::DeviceAlloc:
-        out << "cl_mem " << node->name
-            << " = clCreateBuffer(ctx, bytes(" << node->name
-            << ")); // uninitialized device scratch\n";
-        valueName[node.get()] = node->name;
-        break;
-
       case HOp::KernelCall: {
         const std::string kname = node->name;
         const std::string result = "out_" + std::to_string(node->id) + "_g";
-        const bool generated = node->kernel.def.has_value();
-        bool hasOut = false;
-        if (generated) {
-          // Report the allocation decision the memory allocator makes.
-          auto def = *node->kernel.def;
-          ir::typecheck(def.body);
-          hasOut = memory::planMemory(def).hasOutBuffer;
-        }
+        // Report the allocation decision the memory allocator makes.
+        const auto& def = node->kernel.def;
+        ir::typecheck(def.body);
+        const bool hasOut = memory::planMemory(def).hasOutBuffer;
         int slot = 0;
         for (const auto& a : node->kernel.args) {
           out << kname << ".setArg(" << slot++ << ", "
@@ -149,7 +135,7 @@ std::string HostProgram::generateHostCode(ir::ScalarKind real) const {
         }
         out << "clEnqueueNDRangeKernel(queue, " << kname << ", global="
             << node->kernel.launchCountScalar
-            << ", local=" << node->kernel.localSize << ");\n";
+            << ", local=" << kLocalSize << ");\n";
         break;
       }
 
@@ -179,50 +165,36 @@ std::shared_ptr<CompiledHostProgram> HostProgram::compile(ocl::Context& ctx,
                                                           ir::ScalarKind real) {
   // Lint the DAG before building any kernel: catches host parameters used as
   // device values, dead compute, and unordered overlapping writes at compile
-  // time instead of mid-run. The dataflow pass adds def-use reasoning over
-  // buffer identities (uninitialized reads of device allocations, writes no
-  // one observes, uploads a kernel fully overwrites).
+  // time instead of mid-run.
   analysis::verifyHostProgram(*this);
-  analysis::verifyHostDataflow(*this);
-  return std::shared_ptr<CompiledHostProgram>(new CompiledHostProgram(
-      *this, ctx, real, codegen::CodegenOptions::fromEnv()));
+  return std::shared_ptr<CompiledHostProgram>(
+      new CompiledHostProgram(*this, ctx, real));
 }
 
 CompiledHostProgram::CompiledHostProgram(HostProgram prog, ocl::Context& ctx,
-                                         ir::ScalarKind real,
-                                         const codegen::CodegenOptions& opts)
+                                         ir::ScalarKind real)
     : prog_(std::move(prog)), ctx_(ctx), real_(real) {
   // Build every kernel up front (clBuildProgram at "compile" time).
+  const auto opts = codegen::CodegenOptions::fromEnv();
   for (const auto& node : prog_.order_) {
     if (node->op != HOp::KernelCall) continue;
     KernelInstance inst;
-    inst.node = node.get();
-    if (node->kernel.def.has_value()) {
-      auto def = *node->kernel.def;
-      def.real = real_;
-      codegen::CodegenOptions kopts = opts;
-      if (!node->kernel.spec.empty()) kopts.spec = node->kernel.spec;
-      const auto gen = codegen::generateKernel(def, kopts);
-      inst.program = ctx_.buildProgram(gen.source, gen.buildFlags);
-      inst.entry = gen.name;
-      inst.plan = gen.plan;
-      inst.generated = true;
-      inst.hasOut = gen.plan.hasOutBuffer;
-      inst.launchChunk = gen.preferredChunk;
-      if (static_cast<std::size_t>(inst.hasOut ? 1 : 0) +
-              node->kernel.args.size() !=
-          gen.plan.args.size()) {
-        throw Error("kernel '" + inst.entry + "' expects " +
-                    std::to_string(gen.plan.args.size() -
-                                   (inst.hasOut ? 1 : 0)) +
-                    " arguments, got " +
-                    std::to_string(node->kernel.args.size()));
-      }
-    } else {
-      inst.program = ctx_.buildProgram(node->kernel.source);
-      inst.entry = node->kernel.entry;
-      inst.generated = false;
-      inst.hasOut = false;
+    auto def = node->kernel.def;
+    def.real = real_;
+    const auto gen = codegen::generateKernel(def, opts);
+    inst.program = ctx_.buildProgram(gen.source, gen.buildFlags);
+    inst.entry = gen.name;
+    inst.plan = gen.plan;
+    inst.hasOut = gen.plan.hasOutBuffer;
+    inst.launchChunk = gen.preferredChunk;
+    if (static_cast<std::size_t>(inst.hasOut ? 1 : 0) +
+            node->kernel.args.size() !=
+        gen.plan.args.size()) {
+      throw Error("kernel '" + inst.entry + "' expects " +
+                  std::to_string(gen.plan.args.size() -
+                                 (inst.hasOut ? 1 : 0)) +
+                  " arguments, got " +
+                  std::to_string(node->kernel.args.size()));
     }
     inst.kernel = std::make_unique<ocl::Kernel>(inst.program, inst.entry);
     kernels_[node.get()] = std::move(inst);
@@ -244,11 +216,6 @@ void CompiledHostProgram::bindOutput(const std::string& outputName, void* data,
     throw Error("no output named '" + outputName + "'");
   }
   hostOutputs_[outputName] = {data, bytes};
-}
-
-void CompiledHostProgram::bindAllocBytes(const std::string& allocName,
-                                         std::size_t bytes) {
-  allocBytes_[allocName] = bytes;
 }
 
 void CompiledHostProgram::setInt(const std::string& name, int value) {
@@ -288,9 +255,6 @@ void CompiledHostProgram::replaceKernelProgram(
     const HostPtr& node, const codegen::GeneratedKernel& gen,
     ocl::ProgramPtr program) {
   KernelInstance& inst = instanceFor(node);
-  LIFTA_CHECK(inst.generated,
-              "hot-swap targets generated kernels only (handwritten kernels "
-              "have no memory plan to check against)");
   // ABI compatibility: every argument slot the launch code binds must mean
   // the same thing in the replacement. Specialized kernels keep the full
   // plan (baked scalars are unpacked but unused), so this is an equality
@@ -338,24 +302,6 @@ ocl::BufferPtr CompiledHostProgram::evalDevice(const HostPtr& node,
       if (!skipUploads) {
         ocl::CommandQueue q(ctx_);
         stats.transferMs += q.enqueueWrite(*buf, data, bytes).milliseconds;
-      }
-      memo_[node.get()] = buf;
-      return buf;
-    }
-
-    case HOp::DeviceAlloc: {
-      auto it = allocBytes_.find(node->name);
-      if (it == allocBytes_.end()) {
-        throw Error("device allocation '" + node->name +
-                    "' not sized; call bindAllocBytes");
-      }
-      const std::size_t bytes = it->second;
-      ocl::BufferPtr buf;
-      if (cached != deviceBuffers_.end() && cached->second->size() == bytes) {
-        buf = cached->second;
-      } else {
-        buf = ctx_.allocate(bytes);
-        deviceBuffers_[node.get()] = buf;
       }
       memo_[node.get()] = buf;
       return buf;
@@ -412,11 +358,11 @@ ocl::BufferPtr CompiledHostProgram::evalDevice(const HostPtr& node,
         inst.kernel->setArg(slot, out);
         deviceBuffers_[node.get()] = out;
       }
-      const KernelSpec& spec = node->kernel;
-      const auto n = static_cast<std::size_t>(ints_.at(spec.launchCountScalar));
+      const auto n =
+          static_cast<std::size_t>(ints_.at(node->kernel.launchCountScalar));
       const auto ev = q.enqueueNDRange(
-          *inst.kernel, ocl::launchRange(n, inst.launchChunk, spec.localSize,
-                                         ctx_.pool(), spec.maxGlobal));
+          *inst.kernel,
+          ocl::launchRange(n, inst.launchChunk, kLocalSize, ctx_.pool()));
       stats.kernels.emplace_back(inst.entry, ev.milliseconds);
       inst.aliasOut = nullptr;  // reset per run
       if (!inst.hasOut) {

@@ -9,8 +9,9 @@
 //   ToHost(x)              -> toHost(...)       device-to-host transfer
 //   WriteTo(dst, k)        -> writeTo(...)      kernel output lands in dst
 //
-// A HostProgram is the expression DAG built from these primitives
-// (Listing 5 is the canonical example). It can:
+// A HostProgram is the expression DAG built from these primitives over
+// host parameters (Param) and LIFT-generated kernels (Listing 5 is the
+// canonical example). It can:
 //   * generate readable OpenCL host code (generateHostCode) matching the
 //     "Generated code" column of Table I, and
 //   * compile into an executable schedule over the simulated OpenCL
@@ -23,7 +24,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,15 +36,12 @@ namespace lifta::host {
 struct HostNode;
 using HostPtr = std::shared_ptr<HostNode>;
 
-enum class HOp { Param, ToGPU, ToHost, KernelCall, WriteTo, DeviceAlloc };
+enum class HOp { Param, ToGPU, ToHost, KernelCall, WriteTo };
 
-/// One device-kernel invocation inside the host program.
+/// One generated device-kernel invocation inside the host program.
 struct KernelSpec {
-  /// Generated path: LIFT IR kernel definition (compiled via src/codegen).
-  std::optional<memory::KernelDef> def;
-  /// Handwritten path: raw source + entry name + positional arg count.
-  std::string source;
-  std::string entry;
+  /// LIFT IR kernel definition (compiled via src/codegen).
+  memory::KernelDef def;
 
   /// Arguments in the kernel's ABI slot order, excluding the implicit
   /// output buffer: either a device-value node or the name of a declared
@@ -56,21 +53,9 @@ struct KernelSpec {
   std::vector<Arg> args;
 
   /// Launch size: the name of a declared int scalar holding the logical
-  /// element count. The NDRange comes from ocl::launchRange over it
-  /// (grid-stride kernels tolerate any cap).
+  /// element count. The NDRange comes from ocl::launchRange over it, with
+  /// work-groups of 64 (grid-stride kernels tolerate any cap).
   std::string launchCountScalar;
-  /// Work-group size, an upper bound: launchRange shrinks the work-group of
-  /// a small chunk-scheduled launch so it reaches every pool thread.
-  std::size_t localSize = 64;
-  std::size_t maxGlobal = 1u << 16;
-
-  /// Per-call constant specialization (generated path only): when
-  /// non-empty it overrides CodegenOptions::spec for this kernel, so one
-  /// host program can bake different constants into different calls (e.g.
-  /// per-launch boundary counts that share a kernel parameter name). The
-  /// named scalars must still be declared and set — the launch code binds
-  /// every ABI slot regardless, which is what keeps hot-swap possible.
-  memory::Specialization spec;
 };
 
 struct HostNode {
@@ -95,11 +80,6 @@ public:
   void declareScalar(const std::string& name, ScalarType type);
 
   HostPtr toGPU(HostPtr hostValue);
-  /// Declares an uninitialized device scratch buffer (no host source, no
-  /// upload). Size it at run time with CompiledHostProgram::bindAllocBytes.
-  /// Use instead of toGPU when a kernel fully overwrites the buffer before
-  /// any read — the dataflow lint flags uploads that only feed such writes.
-  HostPtr deviceAlloc(const std::string& name);
   HostPtr kernelCall(KernelSpec spec);
   /// Host-level WriteTo: the kernel writes its output into `dest`'s buffer
   /// (suppressing any fresh output allocation), and the expression's value
@@ -115,10 +95,11 @@ public:
   /// setArg / enqueueNDRangeKernel / enqueueReadBuffer sequence).
   std::string generateHostCode(ir::ScalarKind real) const;
 
-  /// Builds all kernels and allocates the schedule against a context.
-  /// Runs the host-program lint first (src/analysis/host_lint) and throws
-  /// AnalysisError on error-severity findings unless LIFTA_SKIP_VERIFY is
-  /// set.
+  /// Generates (CodegenOptions::fromEnv()) and builds every kernel against
+  /// a context. Runs the host-program lint first (src/analysis/host_lint)
+  /// and throws AnalysisError on error-severity findings unless
+  /// LIFTA_SKIP_VERIFY is set; the dataflow lint (src/analysis/dataflow)
+  /// reports warnings only and runs in lifta-lint, not here.
   std::shared_ptr<CompiledHostProgram> compile(ocl::Context& ctx,
                                                ir::ScalarKind real);
 
@@ -152,8 +133,6 @@ public:
   /// nobody binds stays on the device.
   void bindOutput(const std::string& outputName, void* data,
                   std::size_t bytes);
-  /// Sizes a deviceAlloc(...) scratch buffer (by its declared name).
-  void bindAllocBytes(const std::string& allocName, std::size_t bytes);
   void setInt(const std::string& name, int value);
   void setReal(const std::string& name, double value);
 
@@ -191,19 +170,15 @@ private:
     ocl::ProgramPtr program;
     std::unique_ptr<ocl::Kernel> kernel;
     std::string entry;
-    const HostNode* node = nullptr;
-    memory::MemoryPlan plan;   // generated kernels only
-    bool generated = false;
+    memory::MemoryPlan plan;
     bool hasOut = false;
     int launchChunk = 0;  // GeneratedKernel::preferredChunk
-    ocl::BufferPtr outBuffer;  // fresh output (when !aliased)
     ocl::BufferPtr aliasOut;   // host WriteTo destination buffer
   };
 
   KernelInstance& instanceFor(const HostPtr& node);
 
-  CompiledHostProgram(HostProgram prog, ocl::Context& ctx, ir::ScalarKind real,
-                      const codegen::CodegenOptions& opts);
+  CompiledHostProgram(HostProgram prog, ocl::Context& ctx, ir::ScalarKind real);
 
   ocl::BufferPtr evalDevice(const HostPtr& node, bool skipUploads,
                             RunStats& stats);
@@ -215,7 +190,6 @@ private:
   std::map<std::string, std::pair<void*, std::size_t>> hostOutputs_;
   std::map<std::string, int> ints_;
   std::map<std::string, double> reals_;
-  std::map<std::string, std::size_t> allocBytes_;
   std::map<const HostNode*, ocl::BufferPtr> deviceBuffers_;
   std::map<const HostNode*, ocl::BufferPtr> memo_;  // per-run evaluation memo
   std::map<const HostNode*, KernelInstance> kernels_;

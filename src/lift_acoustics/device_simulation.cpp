@@ -28,7 +28,7 @@ void bindSlice(host::CompiledHostProgram& c, const std::string& name,
 
 /// The kernel call behind a step program's kernel node: the node itself,
 /// or the call its WriteTo wraps.
-host::KernelSpec& kernelOf(const host::HostPtr& node) {
+const host::KernelSpec& kernelOf(const host::HostPtr& node) {
   return node->op == host::HOp::WriteTo ? node->call->kernel : node->kernel;
 }
 
@@ -40,7 +40,7 @@ host::KernelSpec& kernelOf(const host::HostPtr& node) {
 memory::Specialization classSpec(const host::HostPtr& node,
                                  std::size_t materials,
                                  const acoustics::SimParams& params) {
-  return classSpecialization(*kernelOf(node).def,
+  return classSpecialization(kernelOf(node).def,
                              static_cast<std::int64_t>(materials), params.l(),
                              params.l2());
 }
@@ -53,7 +53,7 @@ struct DeviceSimulation::Impl {
   StepProgram step;
   std::shared_ptr<host::CompiledHostProgram> compiled;
 
-  /// Tiered mode: one in-flight background build per kernel node.
+  /// Specialized and Tiered: one background build per kernel node.
   struct PendingSwap {
     std::size_t kernel = 0;  // index into step.kernels
     codegen::GeneratedKernel gen;
@@ -61,7 +61,7 @@ struct DeviceSimulation::Impl {
     bool done = false;
   };
   std::vector<PendingSwap> pending;
-  std::size_t swapped = 0;   // hot-swapped (or spec-built) kernel count
+  std::size_t swapped = 0;   // hot-swapped kernel count
   int firstSwapStep = -1;
 
   // Host staging. The real arrays are kept in double; the int arrays are
@@ -107,14 +107,10 @@ DeviceSimulation::DeviceSimulation(ocl::Context& ctx, Config config)
               "fewer materials than material ids in use");
   impl_ = buildProgram(ctx, mats);
 
-  if (config_.kernelTier == KernelTier::Specialized) {
-    // buildProgram compiled every kernel specialized already; record that
-    // for the tier accessors.
-    impl_->swapped = totalKernels();
-    impl_->firstSwapStep = 0;
-  } else if (config_.kernelTier == KernelTier::Tiered) {
-    queueSpecializations();
-  }
+  // Specialized builds the way Tiered does and waits for the builds, so
+  // every kernel whose build succeeds runs specialized from step 0.
+  if (config_.kernelTier != KernelTier::Generic) queueSpecializations();
+  if (config_.kernelTier == KernelTier::Specialized) waitForSpecialization();
 }
 
 std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
@@ -144,11 +140,6 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
 
   im.step = buildStepProgram(config_.model, config_.precision,
                              config_.numBranches, launches);
-  if (config_.kernelTier == KernelTier::Specialized) {
-    for (const auto& node : im.step.kernels) {
-      kernelOf(node).spec = classSpec(node, im.beta.size(), config_.params);
-    }
-  }
   im.compiled = im.step.prog.compile(ctx, config_.precision);
 
   // --- static bindings -----------------------------------------------------
@@ -197,7 +188,7 @@ void DeviceSimulation::queueSpecializations() {
   for (std::size_t k = 0; k < im.step.kernels.size(); ++k) {
     const auto& node = im.step.kernels[k];
     try {
-      auto def = *kernelOf(node).def;
+      auto def = kernelOf(node).def;
       def.real = config_.precision;
       auto opts = codegen::CodegenOptions::fromEnv();
       opts.spec = classSpec(node, im.beta.size(), config_.params);
@@ -214,7 +205,7 @@ void DeviceSimulation::queueSpecializations() {
       std::fprintf(stderr,
                    "lifta: specialization of kernel '%s' failed (%s); "
                    "keeping the generic kernel\n",
-                   kernelOf(node).def->name.c_str(), e.what());
+                   kernelOf(node).def.name.c_str(), e.what());
     }
   }
 }

@@ -32,13 +32,17 @@ public:
     int numMaterials = 1;
     int numBranches = 3;  // FD-MM only
     ir::ScalarKind precision = ir::ScalarKind::Double;
-    /// Generic, up-front specialized, or tiered execution with background
-    /// specialization and hot-swap. Bit-identical across all three.
+    /// Generic, specialized before the first step, or tiered execution
+    /// with background specialization and hot-swap. Bit-identical across
+    /// all three.
     KernelTier kernelTier = KernelTier::Generic;
     std::vector<acoustics::Material> materials;  // default palette if empty
   };
 
   /// Voxelizes, generates + JIT-builds the kernels, uploads the static data.
+  /// Specialized and Tiered then queue the specialized builds
+  /// (queueSpecializations); Specialized also waits for them
+  /// (waitForSpecialization) before returning.
   /// The boundary schedule follows the launch plan
   /// planBoundaryLaunches(grid.boundaryClasses,
   /// params.boundaryFissionMinPoints): an empty plan, or one mixed launch,
@@ -80,13 +84,16 @@ public:
   /// Kernel launches per step: the volume, then the fused boundary kernel
   /// or one kernel per launch of the plan.
   std::size_t totalKernels() const;
-  /// Launches currently running constant-specialized code: totalKernels()
-  /// under Specialized, the hot-swapped count under Tiered, 0 otherwise.
+  /// Launches currently running constant-specialized code: the hot-swapped
+  /// count under Tiered and Specialized, 0 under Generic. Specialized swaps
+  /// before its constructor returns, so it reports totalKernels() unless a
+  /// build failed (that kernel stays generic).
   std::size_t specializedKernels() const;
-  /// True while Tiered background builds are still outstanding.
+  /// True while Tiered background builds are still outstanding (never
+  /// under Specialized, whose constructor waits for them).
   bool specializationPending() const;
   /// Step count at the first hot-swap (-1 before any swap; 0 under
-  /// Specialized, where every kernel starts specialized).
+  /// Specialized, whose swaps land before the first step).
   int firstSwapStep() const;
   /// Blocks until every queued specialization is terminal and applies the
   /// resulting swaps (callable between steps; failed builds stay generic).
@@ -98,10 +105,11 @@ private:
   /// boundary schedule the launch plan picks.
   std::unique_ptr<Impl> buildProgram(
       ocl::Context& ctx, const std::vector<acoustics::Material>& mats);
-  /// Tiered mode: generates the specialized variant of every kernel on the
-  /// calling thread (so the translation-validation gate runs synchronously)
-  /// and submits the sources to the background CompileQueue; a source its
-  /// class already built comes back Ready, and the first step swaps it in.
+  /// Specialized and Tiered: generates the specialized variant of every
+  /// kernel on the calling thread (so the translation-validation gate runs
+  /// synchronously) and submits the sources to the background
+  /// CompileQueue; a source its class already built comes back Ready, and
+  /// the next poll swaps it in.
   void queueSpecializations();
   /// Applies every finished background build by hot-swapping its program
   /// (called at step boundaries and from waitForSpecialization()).

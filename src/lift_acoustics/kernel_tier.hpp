@@ -12,8 +12,10 @@ namespace lifta::lift_acoustics {
 enum class KernelTier {
   /// Generic kernels only (runtime scalar arguments) — the baseline.
   Generic,
-  /// Constant-specialized kernels, compiled synchronously up front: lowest
-  /// steady-state step time, highest construction latency.
+  /// Constant-specialized kernels from the first step: the constructor
+  /// builds the generic program, queues the specialized builds as Tiered
+  /// does and waits for them. Lowest steady-state step time, highest
+  /// construction latency; a kernel whose build fails stays generic.
   Specialized,
   /// Tier-0 generic kernels run immediately; a background thread compiles
   /// the specialized variants and step() hot-swaps each kernel at a step

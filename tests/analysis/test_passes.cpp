@@ -67,7 +67,7 @@ TEST(Passes, RelationalDomainDischargesMixedStrideDisjointness) {
   // the affine-difference rule cannot align the pair — historically a
   // guaranteed "different work-item strides" warning. The relational
   // difference-bound domain proves the windows disjoint (g < N <= 2g' + N
-  // for every pair of work items), so the default configuration is clean.
+  // for every pair of work items), so the analysis is clean.
   using namespace lifta::ir;
   memory::KernelDef def;
   def.name = "mixed_stride";
@@ -82,19 +82,7 @@ TEST(Passes, RelationalDomainDischargesMixedStrideDisjointness) {
                      arrayAccess(a, g * litInt(2) + np) * litFloat(0.5f))),
       iota(n));
 
-  AnalysisOptions off;
-  off.relational = false;
-  const Report warned = analyzeKernelDef(def, off);
-  std::size_t strideWarnings = 0;
-  for (const auto& d : warned.diagnostics) {
-    if (d.severity == Severity::Warning && d.pass == PassId::Race &&
-        d.message.find("strides") != std::string::npos) {
-      ++strideWarnings;
-    }
-  }
-  EXPECT_GE(strideWarnings, 1u) << warned.toText();
-
-  const Report clean = analyzeKernelDef(def);  // relational on by default
+  const Report clean = analyzeKernelDef(def);
   EXPECT_EQ(clean.count(Severity::Error), 0u) << clean.toText();
   EXPECT_EQ(clean.count(Severity::Warning), 0u) << clean.toText();
 }

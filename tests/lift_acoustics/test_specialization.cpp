@@ -76,7 +76,11 @@ TEST(Specialization, SpecializedBitIdenticalToGenericAllModelsAllShapes) {
   }
 }
 
+// The constructor waits for the specialized builds. An earlier test of the
+// process may have built this job class, so the Jit memory cache is emptied
+// first: the wait then covers a cold build.
 TEST(Specialization, SpecializedReportsFullTierState) {
+  ocl::Jit::instance().clearMemoryCache();
   auto cfg = baseConfig(kModels[0], RoomShape::Box);
   cfg.kernelTier = KernelTier::Specialized;
   DeviceSimulation dev(sharedContext(), cfg);

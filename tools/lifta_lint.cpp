@@ -17,13 +17,12 @@
 //
 // Exit status: 0 when no error-severity finding exists (under --werror: no
 // error and no warning), 1 otherwise.
-#include <cstdint>
 #include <cstring>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "acoustics/sim_params.hpp"
 #include "analysis/dataflow.hpp"
 #include "analysis/equiv.hpp"
 #include "analysis/host_lint.hpp"
@@ -81,32 +80,6 @@ host::HostProgram emStepProgram() {
   return prog;
 }
 
-/// Representative constants for the specialized-variant lint subjects: a
-/// consistent 16x14x12 box discretization. Specialization only substitutes
-/// these into index algebra, so any concrete values exercise the same
-/// simplification paths the tiered runtime bakes in; consistent ones
-/// (nxny == nx*ny etc.) additionally let proven-guard elimination fire the
-/// way it does for a real room.
-memory::Specialization representativeSpec(const memory::KernelDef& def) {
-  static const std::map<std::string, std::int64_t> ints = {
-      {"nx", 16},     {"ny", 14},   {"nz", 12},  {"nxny", 224},
-      {"cells", 2688}, {"numB", 1154}, {"M", 4},  {"count", 512}};
-  static const std::map<std::string, double> reals = {
-      {"l", 0.3}, {"l2", 0.09}, {"S", 0.5}};
-  memory::Specialization spec;
-  for (const auto& p : def.params) {
-    if (p->type->isArray()) continue;
-    if (p->type->scalarKind() == ir::ScalarKind::Int) {
-      const auto it = ints.find(p->name);
-      spec.ints[p->name] = it != ints.end() ? it->second : 8;
-    } else {
-      const auto it = reals.find(p->name);
-      spec.reals[p->name] = it != reals.end() ? it->second : 0.25;
-    }
-  }
-  return spec;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -141,6 +114,7 @@ int main(int argc, char** argv) {
       contracts ? lift_acoustics::acousticContracts() : AnalysisOptions{};
 
   std::vector<Report> reports;
+  const acoustics::SimParams params;  // the default Courant number
   auto kernels = lift_acoustics::shippedKernels();
   kernels.insert(kernels.end(),
                  {geophys::liftEmEzKernel(ir::ScalarKind::Double),
@@ -156,11 +130,15 @@ int main(int argc, char** argv) {
       reports.push_back(std::move(r));
     }
     // Constant-specialized variant (tiered execution, DESIGN.md §12): the
-    // same translation validation with representative constants baked into
-    // both walks — what the runtime gate checks before a hot-swap.
+    // same translation validation with the device tier's job-class
+    // constants baked into both walks — what the runtime gate checks before
+    // a hot-swap. Kernels the device tier never specializes (no M, l or l2
+    // parameter) have no such subject.
+    const auto spec =
+        lift_acoustics::classSpecialization(def, 3, params.l(), params.l2());
     const std::string specName = def.name + "#specialized";
-    if (selected(specName)) {
-      Report r = validateTranslation(def, representativeSpec(def));
+    if (!spec.empty() && selected(specName)) {
+      Report r = validateTranslation(def, spec);
       r.subject = specName;
       reports.push_back(std::move(r));
     }
