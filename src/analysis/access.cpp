@@ -2,10 +2,8 @@
 
 #include <utility>
 
-#include "common/error.hpp"
+#include "analysis/walk.hpp"
 #include "ir/typecheck.hpp"
-#include "memory/allocator.hpp"
-#include "view/view.hpp"
 
 namespace lifta::analysis {
 
@@ -17,86 +15,35 @@ using view::ViewPtr;
 
 namespace {
 
-/// Mirrors codegen::Emitter's traversal one-for-one, recording accesses
-/// instead of printing C. Divergence between the two walks would make the
-/// analysis reason about a different program than the one generated, so any
-/// structural decision here (collapsed maps, straight-line single-element
-/// maps, lazy lets, Concat offsets) copies the Emitter exactly.
-class Collector {
+/// A scalar's integer value when the index algebra can follow it.
+struct SVal {
+  std::optional<Expr> expr;
+};
+
+/// Runs the shared IR walk (analysis/walk.hpp), recording every access as
+/// a symbolic (buffer, flat index, extent) triple.
+class Collector : public Walk<Collector, SVal> {
+  using Base = Walk<Collector, SVal>;
+  friend Base;
+
  public:
-  explicit Collector(const memory::KernelDef& def) : def_(def) {}
+  explicit Collector(const memory::KernelDef& def) : Base(def, {}, false) {}
 
   KernelAccessInfo run() {
     ir::typecheck(def_.body);
     info_.kernelName = def_.name;
-
-    for (const auto& p : def_.params) {
-      if (p->type->isArray()) {
-        env_[p.get()] = Binding{view::memView(p->name, p->type), {}};
-        noteSizeVars(p->type->flatCount());
-      } else {
-        SVal v;
-        if (isIntScalar(p->type)) v.expr = Expr::var(p->name);
-        env_[p.get()] = Binding{nullptr, v};
-      }
-    }
-
-    ViewPtr topDest;
-    if (memory::isEffectOnly(def_.body)) {
-      // All writes happen through WriteTo destinations.
-    } else if (def_.outAliasParam) {
-      topDest = env_.at(findParam(*def_.outAliasParam).get()).view;
-    } else {
-      topDest = view::memView("out", def_.body->type);
-      noteSizeVars(def_.body->type->flatCount());
-    }
-    collectArray(def_.body, topDest);
-
-    finalizeSizeVars();
+    walkArray(def_.body, bindKernel());
+    // Only genuine size parameters may be assumed nonnegative; loop
+    // variables, let-defined names and opaque loaded values must not be.
+    info_.sizeVars = sizeParams([this](const std::string& v) {
+      return info_.atoms.count(v) || info_.defs.count(v);
+    });
+    info_.domains = std::move(domains_);
     dedupAccesses();
     return std::move(info_);
   }
 
  private:
-  struct SVal {
-    std::optional<Expr> expr;  // integer value when trackable
-  };
-  struct Binding {
-    ViewPtr view;               // arrays / tuples / scalar element views
-    std::optional<SVal> scalar; // scalar values
-  };
-
-  static bool isIntScalar(const ir::TypePtr& t) {
-    return t->isScalar() && t->scalarKind() == ir::ScalarKind::Int;
-  }
-
-  const ExprPtr& findParam(const std::string& name) const {
-    for (const auto& p : def_.params) {
-      if (p->name == name) return p;
-    }
-    throw CodegenError("unknown parameter: " + name);
-  }
-
-  std::string fresh(const std::string& base) {
-    return base + "_" + std::to_string(counter_++);
-  }
-
-  void noteSizeVars(const Expr& e) {
-    for (const auto& v : e.freeVars()) rawSizeVars_.insert(v);
-  }
-
-  void finalizeSizeVars() {
-    for (const auto& v : rawSizeVars_) {
-      // Only genuine size parameters may be assumed nonnegative; loop
-      // variables, let-defined names and opaque loaded values must not be.
-      if (info_.domains.count(v) || info_.atoms.count(v) ||
-          info_.defs.count(v)) {
-        continue;
-      }
-      info_.sizeVars.insert(v);
-    }
-  }
-
   void dedupAccesses() {
     std::set<std::string> seen;
     std::vector<Access> unique;
@@ -109,22 +56,17 @@ class Collector {
     info_.accesses = std::move(unique);
   }
 
-  void registerLoop(const std::string& iv, const Expr& len) {
-    info_.domains[iv] = Domain{Expr(0), len - Expr(1), true};
-    noteSizeVars(len);
-  }
-
   // --- access recording ----------------------------------------------------
 
   std::optional<view::SymbolicAccess> recordAccess(const ViewPtr& v,
                                                    bool isWrite) {
     view::SymbolicAccess sym = view::resolveSymbolic(v, guardCounter_);
     for (const auto& g : sym.guards) {
-      if (!info_.domains.count(g.var)) {
+      if (!domains_.count(g.var)) {
         // Guard variables stand for the guarded component; domain endpoints
         // are not independently attainable, so mark them inexact (no
         // error-severity verdict may rest on them).
-        info_.domains[g.var] = Domain{Expr(0), g.size - Expr(1), false};
+        domains_[g.var] = Domain{Expr(0), g.size - Expr(1), false};
         displaySubst_.emplace(g.var, g.actual);
       }
     }
@@ -151,7 +93,7 @@ class Collector {
 
     std::string name = preferredAtom_;
     preferredAtom_.clear();
-    if (name.empty() || info_.atoms.count(name) || info_.domains.count(name) ||
+    if (name.empty() || info_.atoms.count(name) || domains_.count(name) ||
         info_.defs.count(name)) {
       name = fresh("ld");
     }
@@ -161,7 +103,7 @@ class Collector {
     for (const auto& v : sym.index.freeVars()) {
       if (info_.wiVar && v == *info_.wiVar) {
         origin.positionUsesWorkItem = true;
-      } else if (info_.domains.count(v)) {
+      } else if (domains_.count(v)) {
         origin.positionUsesLoopVars = true;
       }
     }
@@ -170,8 +112,19 @@ class Collector {
     return Expr::var(name);
   }
 
+  // --- walk hooks ------------------------------------------------------------
+
+  SVal scalarParam(const Node& p) const {
+    if (isIntScalar(p.type)) return SVal{Expr::var(p.name)};
+    return {};
+  }
+
+  SVal indexValue(const Expr& index) const { return SVal{index}; }
+
+  std::string constant(const SVal&) const { return "0"; }
+
   /// Resolves a scalar view read: records the access and produces the value.
-  SVal readValue(const ViewPtr& v) {
+  SVal load(const ViewPtr& v) {
     auto sym = recordAccess(v, /*isWrite=*/false);
     if (!sym) return {};
     switch (sym->kind) {
@@ -186,18 +139,20 @@ class Collector {
     return {};
   }
 
-  // --- scalar walk ----------------------------------------------------------
+  SVal store(const ViewPtr& v, SVal value) {
+    recordAccess(v, /*isWrite=*/true);
+    return value;
+  }
 
-  SVal evalScalar(const ExprPtr& e) {
-    const Node& n = *e;
+  /// Untrackable index (e.g. data-dependent via a Select): a fresh free
+  /// variable keeps the analysis sound — nothing can be proven about it.
+  Expr indexLeaf(const ExprPtr& e) {
+    const SVal v = scalar(e);
+    return v.expr ? *v.expr : Expr::var(fresh("ix"));
+  }
+
+  SVal compute(const Node& n) {
     switch (n.op) {
-      case Op::Param: {
-        auto it = env_.find(&n);
-        if (it == env_.end()) throw CodegenError("unbound parameter: " + n.name);
-        if (it->second.view) return readValue(it->second.view);
-        return it->second.scalar.value_or(SVal{});
-      }
-
       case Op::Literal:
         if (n.literalKind == ir::ScalarKind::Int) {
           return SVal{Expr(static_cast<std::int64_t>(n.literalValue))};
@@ -205,8 +160,8 @@ class Collector {
         return {};
 
       case Op::Binary: {
-        SVal a = evalScalar(n.args[0]);
-        SVal b = evalScalar(n.args[1]);
+        SVal a = scalar(n.args[0]);
+        SVal b = scalar(n.args[1]);
         if (isIntScalar(n.type) && a.expr && b.expr) {
           switch (n.bin) {
             case ir::BinOp::Add: return SVal{*a.expr + *b.expr};
@@ -222,7 +177,7 @@ class Collector {
       }
 
       case Op::Unary: {
-        SVal a = evalScalar(n.args[0]);
+        SVal a = scalar(n.args[0]);
         if (n.un == ir::UnOp::Neg && isIntScalar(n.type) && a.expr) {
           return SVal{Expr(0) - *a.expr};
         }
@@ -230,386 +185,78 @@ class Collector {
       }
 
       case Op::Select: {
-        evalScalar(n.args[0]);  // condition reads are unguarded
+        scalar(n.args[0]);  // condition reads are unguarded
         ++guardDepth_;
-        evalScalar(n.args[1]);
-        evalScalar(n.args[2]);
+        scalar(n.args[1]);
+        scalar(n.args[2]);
         --guardDepth_;
         return {};  // branch-dependent value: not tracked
       }
 
       case Op::Cast: {
-        SVal a = evalScalar(n.args[0]);
+        SVal a = scalar(n.args[0]);
         if (isIntScalar(n.type) && isIntScalar(n.args[0]->type)) return a;
         return {};
       }
 
       case Op::UserFunCall: {
-        for (const auto& a : n.args) evalScalar(a);
+        for (const auto& a : n.args) scalar(a);
         return {};
       }
 
-      case Op::Get: {
-        if (n.args[0]->op == Op::MakeTuple) {
-          return evalScalar(
-              n.args[0]->args[static_cast<std::size_t>(n.tupleIndex)]);
-        }
-        return readValue(
-            view::tupleComponentView(viewOf(n.args[0]), n.tupleIndex));
-      }
-
-      case Op::ArrayAccess:
-        return readValue(
-            view::accessView(viewOf(n.args[0]), indexOf(n.args[1])));
-
-      case Op::Let: {
-        collectLet(e);
-        return evalScalar(n.args[2]);
-      }
-
-      case Op::Reduce:
-        return collectReduce(e);
-
-      case Op::WriteTo: {
-        SVal value = evalScalar(n.args[1]);
-        recordAccess(viewOf(n.args[0]), /*isWrite=*/true);
-        return value;
-      }
-
       default:
-        throw CodegenError("expression is not scalar-emittable: op #" +
-                           std::to_string(static_cast<int>(n.op)));
+        notScalar(n);
     }
   }
 
-  void collectLet(const ExprPtr& e) {
-    const Node& n = *e;
-    const ExprPtr& binder = n.args[0];
-    const ExprPtr& value = n.args[1];
-    if (value->type->isScalar()) {
-      const bool pureLoad = value->op == Op::Param ||
-                            value->op == Op::ArrayAccess ||
-                            value->op == Op::Get;
-      if (pureLoad && isIntScalar(value->type)) {
-        // Loaded opaque integers adopt the binder's name, so skip-lengths and
-        // Concat offsets produced by ir::toArith (which refer to the binder)
-        // unify with the access-side atom.
-        preferredAtom_ = binder->name;
-      }
-      SVal v = evalScalar(value);
-      preferredAtom_.clear();
-      if (isIntScalar(value->type)) {
-        Expr self = Expr::var(binder->name);
-        if (v.expr && !(*v.expr == self)) {
-          info_.defs[binder->name] = *v.expr;
-        }
-        env_[binder.get()] = Binding{nullptr, SVal{self}};
-      } else {
-        env_[binder.get()] = Binding{nullptr, SVal{}};
-      }
-      return;
+  SVal letScalar(const std::string& name, const ExprPtr& value) {
+    const bool pureLoad = value->op == Op::Param ||
+                          value->op == Op::ArrayAccess ||
+                          value->op == Op::Get;
+    if (pureLoad && isIntScalar(value->type)) {
+      // Loaded opaque integers adopt the binder's name, so skip-lengths and
+      // Concat offsets produced by ir::toArith (which refer to the binder)
+      // unify with the access-side atom.
+      preferredAtom_ = name;
     }
-    if (value->type->isArray()) {
-      switch (value->op) {
-        case Op::Param:
-        case Op::Zip:
-        case Op::Slide:
-        case Op::Pad:
-        case Op::Split:
-        case Op::Join:
-        case Op::Transpose:
-        case Op::Slide3:
-        case Op::Pad3:
-        case Op::Iota:
-        case Op::Get:
-        case Op::ArrayAccess:
-        case Op::ArrayCons:
-          env_[binder.get()] = Binding{viewOf(value), {}};
-          return;
-        default:
-          break;
-      }
-      const Expr count = value->type->flatCount();
-      if (!count.isConst()) {
-        throw CodegenError("private array '" + binder->name +
-                           "' must have a compile-time extent, got " +
-                           count.toString());
-      }
-      privates_.insert(binder->name);
-      collectArray(value, view::memView(binder->name, value->type));
-      env_[binder.get()] =
-          Binding{view::memView(binder->name, value->type), {}};
-      return;
-    }
-    throw CodegenError("let of tuple values is not supported");
+    const SVal v = scalar(value);
+    preferredAtom_.clear();
+    if (!isIntScalar(value->type)) return {};
+    const Expr named = Expr::var(name);
+    if (v.expr && !(*v.expr == named)) info_.defs[name] = *v.expr;
+    return SVal{named};
   }
 
-  SVal collectReduce(const ExprPtr& e) {
-    const Node& n = *e;
-    evalScalar(n.args[0]);  // init
-    const ExprPtr& input = n.args[1];
-    const std::string iv = fresh("r");
-    registerLoop(iv, input->type->size());
-    bindElement(n.lambda->params[1], input, Expr::var(iv));
-    env_[n.lambda->params[0].get()] = Binding{nullptr, SVal{}};
-    evalScalar(n.lambda->body);
-    return {};  // accumulator value: not tracked
+  void declarePrivate(const std::string& name, const ir::TypePtr&,
+                      std::int64_t) {
+    privates_.insert(name);
   }
 
-  // --- index conversion -----------------------------------------------------
-
-  Expr indexOf(const ExprPtr& e) {
-    const Node& n = *e;
-    switch (n.op) {
-      case Op::Literal:
-        if (n.literalKind == ir::ScalarKind::Int) {
-          return Expr(static_cast<std::int64_t>(n.literalValue));
-        }
-        break;
-      case Op::Param: {
-        auto it = env_.find(&n);
-        if (it != env_.end() && !it->second.view && it->second.scalar &&
-            it->second.scalar->expr) {
-          return *it->second.scalar->expr;
-        }
-        break;
-      }
-      case Op::Binary:
-        switch (n.bin) {
-          case ir::BinOp::Add:
-            return indexOf(n.args[0]) + indexOf(n.args[1]);
-          case ir::BinOp::Sub:
-            return indexOf(n.args[0]) - indexOf(n.args[1]);
-          case ir::BinOp::Mul:
-            return indexOf(n.args[0]) * indexOf(n.args[1]);
-          case ir::BinOp::Div:
-            return arith::div(indexOf(n.args[0]), indexOf(n.args[1]));
-          default:
-            break;
-        }
-        break;
-      default:
-        break;
-    }
-    SVal v = evalScalar(e);
-    if (v.expr) return *v.expr;
-    // Untrackable index (e.g. data-dependent via a Select): a fresh free
-    // variable keeps the analysis sound — nothing can be proven about it.
-    return Expr::var(fresh("ix"));
+  // The accumulator's value is not tracked, and it gets no name.
+  std::string accumulatorName() const { return ""; }
+  SVal accumulator(const std::string&, const Node&, const SVal&) const {
+    return {};
+  }
+  SVal reduced(const std::string&, const SVal&, const std::string&,
+               const SVal&) const {
+    return {};
   }
 
-  // --- views ---------------------------------------------------------------
-
-  ViewPtr viewOf(const ExprPtr& e) {
-    const Node& n = *e;
-    switch (n.op) {
-      case Op::Param: {
-        auto it = env_.find(&n);
-        if (it == env_.end() || !it->second.view) {
-          throw CodegenError("parameter '" + n.name +
-                             "' is not bound to a view");
-        }
-        return it->second.view;
-      }
-      case Op::Zip: {
-        std::vector<ViewPtr> children;
-        children.reserve(n.args.size());
-        for (const auto& a : n.args) children.push_back(viewOf(a));
-        return view::zipView(std::move(children), n.type);
-      }
-      case Op::Slide:
-        return view::slideView(viewOf(n.args[0]), n.size1, n.size2);
-      case Op::Pad:
-        return view::padView(viewOf(n.args[0]), n.size1, n.size2, n.padMode);
-      case Op::Split:
-        return view::splitView(viewOf(n.args[0]), n.size1);
-      case Op::Join:
-        return view::joinView(viewOf(n.args[0]));
-      case Op::Transpose:
-        return view::transposeView(viewOf(n.args[0]));
-      case Op::Slide3:
-        return view::slide3View(viewOf(n.args[0]), n.size1, n.size2);
-      case Op::Pad3:
-        return view::pad3View(viewOf(n.args[0]), n.size1, n.padMode);
-      case Op::Iota:
-        return view::iotaView(n.size1);
-      case Op::Get:
-        return view::tupleComponentView(viewOf(n.args[0]), n.tupleIndex);
-      case Op::ArrayAccess:
-        return view::accessView(viewOf(n.args[0]), indexOf(n.args[1]));
-      case Op::WriteTo:
-        return viewOf(n.args[0]);
-      case Op::ArrayCons:
-        evalScalar(n.args[0]);  // the element is evaluated by codegen here
-        return view::constantView("0", n.type);
-      default:
-        throw CodegenError(
-            "expression cannot be used as a view; materialize it with Let "
-            "(op #" + std::to_string(static_cast<int>(n.op)) + ")");
+  /// The first MapGlb's variable is the work-item id.
+  void openLoop(const Node* map, const std::string& iv, const Expr& len) {
+    if (map == nullptr || map->mapKind != ir::MapKind::Glb) return;
+    ++info_.glbMapCount;
+    if (!info_.wiVar) {
+      info_.wiVar = iv;
+      info_.wiCount = len;
     }
   }
 
-  void bindElement(const ExprPtr& paramNode, const ExprPtr& input,
-                   const Expr& index) {
-    const Node& in = *input;
-    if (in.op == Op::Iota) {
-      env_[paramNode.get()] = Binding{nullptr, SVal{index}};
-      return;
-    }
-    if (in.op == Op::ArrayCons) {
-      env_[paramNode.get()] = Binding{nullptr, evalScalar(in.args[0])};
-      return;
-    }
-    env_[paramNode.get()] =
-        Binding{view::accessView(viewOf(input), index), {}};
-  }
-
-  // --- array walk ------------------------------------------------------------
-
-  void collectArray(const ExprPtr& e, ViewPtr dest) {
-    const Node& n = *e;
-    switch (n.op) {
-      case Op::Map:
-        collectMap(e, std::move(dest));
-        return;
-
-      case Op::Concat: {
-        if (!dest) throw CodegenError("Concat requires a destination");
-        Expr offset(0);
-        for (const auto& child : n.args) {
-          if (child->op == Op::Skip) {
-            offset = offset + child->type->size();
-            continue;
-          }
-          collectArray(child, view::offsetView(dest, offset));
-          offset = offset + child->type->size();
-        }
-        return;
-      }
-
-      case Op::ArrayCons: {
-        if (!dest) throw CodegenError("ArrayCons requires a destination");
-        evalScalar(n.args[0]);
-        if (n.size1.isConst(1)) {
-          recordAccess(view::accessView(dest, Expr(0)), /*isWrite=*/true);
-          return;
-        }
-        const std::string iv = fresh("i");
-        registerLoop(iv, n.size1);
-        recordAccess(view::accessView(dest, Expr::var(iv)), /*isWrite=*/true);
-        return;
-      }
-
-      case Op::WriteTo: {
-        const ViewPtr redirected = viewOf(n.args[0]);
-        if (n.args[1]->type->isScalar()) {
-          evalScalar(e);
-          return;
-        }
-        collectArray(n.args[1], redirected);
-        return;
-      }
-
-      case Op::Skip:
-        throw CodegenError("Skip may only appear inside Concat");
-
-      case Op::Let:
-        collectLet(e);
-        collectArray(n.args[2], std::move(dest));
-        return;
-
-      case Op::MakeTuple: {
-        for (const auto& comp : n.args) collectComponent(comp);
-        return;
-      }
-
-      default:
-        throw CodegenError("array expression cannot be emitted: op #" +
-                           std::to_string(static_cast<int>(n.op)));
-    }
-  }
-
-  void collectComponent(const ExprPtr& comp) {
-    if (comp->type->isScalar()) {
-      evalScalar(comp);
-      return;
-    }
-    collectArray(comp, nullptr);
-  }
-
-  void collectMap(const ExprPtr& e, ViewPtr dest) {
-    const Node& n = *e;
-    const ExprPtr& input = n.args[0];
-    const Expr len = input->type->size();
-    const ExprPtr& bodyExpr = n.lambda->body;
-
-    const bool collapsed =
-        dest != nullptr && bodyExpr->type != nullptr &&
-        bodyExpr->type->isArray() && ir::typeEquals(dest->type, bodyExpr->type);
-
-    if (n.mapKind == ir::MapKind::Seq && len.isConst(1)) {
-      collectMapIteration(n, dest, collapsed, Expr(0));
-      return;
-    }
-
-    std::string iv;
-    if (n.mapKind == ir::MapKind::Glb) {
-      iv = fresh("g");
-      ++info_.glbMapCount;
-      if (!info_.wiVar) {
-        info_.wiVar = iv;
-        info_.wiCount = len;
-      }
-      registerLoop(iv, len);
-    } else if (n.mapKind == ir::MapKind::Seq) {
-      iv = fresh("i");
-      registerLoop(iv, len);
-    } else {
-      throw CodegenError("MapWrg/MapLcl require local-memory support, which "
-                         "the barrier-free generator does not emit");
-    }
-    collectMapIteration(n, dest, collapsed, Expr::var(iv));
-  }
-
-  void collectMapIteration(const Node& n, const ViewPtr& dest, bool collapsed,
-                           const Expr& index) {
-    const ExprPtr& input = n.args[0];
-    const ExprPtr& bodyExpr = n.lambda->body;
-    bindElement(n.lambda->params[0], input, index);
-
-    if (bodyExpr->type->isScalar()) {
-      evalScalar(bodyExpr);
-      if (dest) {
-        recordAccess(view::accessView(dest, index), /*isWrite=*/true);
-      }
-    } else if (bodyExpr->type->isTuple()) {
-      if (bodyExpr->op == Op::MakeTuple) {
-        for (const auto& comp : bodyExpr->args) collectComponent(comp);
-      } else if (bodyExpr->op == Op::Let) {
-        collectArray(n.lambda->body, nullptr);
-      } else {
-        throw CodegenError("tuple-typed map body must be a Tuple or Let");
-      }
-    } else {
-      ViewPtr elementDest;
-      if (collapsed) {
-        elementDest = dest;
-      } else if (dest) {
-        elementDest = view::accessView(dest, index);
-      }
-      collectArray(bodyExpr, elementDest);
-    }
-  }
-
-  const memory::KernelDef& def_;
   KernelAccessInfo info_;
-  std::map<const Node*, Binding> env_;
   std::map<std::string, std::string> atomCache_;  // buffer@index -> atom name
   std::map<std::string, Expr> displaySubst_;      // guard var -> actual expr
   std::set<std::string> privates_;
-  std::set<std::string> rawSizeVars_;
   std::string preferredAtom_;
-  int counter_ = 0;
   int guardCounter_ = 0;
   int guardDepth_ = 0;
 };

@@ -1,6 +1,7 @@
-// Abstract interpretation of a KernelDef: walks the IR exactly like the code
-// generator's Emitter, but instead of printing C it records every memory
-// access as a symbolic (buffer, flat-index, extent) triple over arith::Expr.
+// Abstract interpretation of a KernelDef: runs the code generator's own IR
+// walk (analysis/walk.hpp), but instead of printing C it records every
+// memory access as a symbolic (buffer, flat-index, extent) triple over
+// arith::Expr.
 //
 // Loop structure maps to symbolic variables with domains:
 //   * MapGlb's grid-stride variable g covers [0, len-1] (the work-item id for

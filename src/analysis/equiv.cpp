@@ -4,11 +4,9 @@
 
 #include "analysis/simplify.hpp"
 #include "analysis/verify.hpp"
-#include "common/error.hpp"
+#include "analysis/walk.hpp"
 #include "common/string_util.hpp"
 #include "ir/typecheck.hpp"
-#include "memory/allocator.hpp"
-#include "view/view.hpp"
 
 namespace lifta::analysis {
 
@@ -79,129 +77,41 @@ const char* binOpTag(ir::BinOp b) {
   return "?";
 }
 
-/// Symbolic evaluator producing a KernelSummary. The traversal mirrors
-/// codegen::Emitter one-for-one (same structural decisions: collapsed maps,
-/// straight-line single-element MapSeq, lazy lets, Concat offsets, element-
-/// before-loop ArrayCons order) so the summary describes the program the
-/// emitter generates, not a lookalike. Uses view::resolveAccess — the same
-/// structured resolution the optimizing emitter prints from.
-class Summarizer {
+/// A value in flight: the summary tree plus, when the scalar is an integer
+/// the index algebra can follow, its arith::Expr form.
+struct EV {
+  SummaryValPtr val;
+  std::optional<Expr> ival;
+};
+
+/// Runs the shared IR walk (analysis/walk.hpp), recording the stores of
+/// the program the emitter generates with their addresses and value trees.
+/// Loads resolve through view::resolveAccess, the structured resolution the
+/// optimizing emitter prints from; an optimized walk applies the same
+/// simplifyIndex/proveGuardSides pipeline to them.
+class Summarizer : public Walk<Summarizer, EV> {
+  using Base = Walk<Summarizer, EV>;
+  friend Base;
+
  public:
   Summarizer(const memory::KernelDef& def, bool optimized,
-             const memory::Specialization& spec = {})
-      : def_(def), optimized_(optimized), spec_(spec) {}
+             const memory::Specialization& spec)
+      : Base(def, spec, optimized) {}
 
   KernelSummary run() {
     ir::typecheck(def_.body);
     summary_.kernelName = def_.name;
     summary_.optimized = optimized_;
-
-    for (const auto& p : def_.params) {
-      if (p->type->isArray()) {
-        env_[p.get()] = Binding{view::memView(p->name, p->type), {}};
-        noteSizeVars(p->type->flatCount());
-        summary_.extents[p->name] = spec_.subst(p->type->flatCount());
-        if (optimized_) {
-          // Identical seeding to Emitter::seedProver: size parameters in
-          // array extents are nonnegative by construction.
-          for (const auto& v : p->type->flatCount().freeVars()) {
-            prover_.assumeAtLeast(v, 0);
-          }
-        }
-      } else if (isIntScalar(p->type)) {
-        // Specialized int scalars bind to their constant, exactly as the
-        // emitter's scalarParamCode folds them into index algebra.
-        auto si = spec_.ints.find(p->name);
-        const Expr iv = si != spec_.ints.end() ? Expr(si->second)
-                                               : Expr::var(p->name);
-        env_[p.get()] = Binding{nullptr, EV{makeIndex(iv), iv}};
-      } else {
-        auto sr = spec_.reals.find(p->name);
-        const std::string code =
-            sr != spec_.reals.end()
-                ? enclose("(",
-                          memory::Specialization::realLiteral(sr->second,
-                                                              def_.real),
-                          ")")
-                : p->name;
-        env_[p.get()] = Binding{nullptr, EV{makeLit(code), {}}};
-      }
-    }
-
-    ViewPtr topDest;
-    if (memory::isEffectOnly(def_.body)) {
-      // All writes happen through WriteTo destinations.
-    } else if (def_.outAliasParam) {
-      topDest = env_.at(findParam(*def_.outAliasParam).get()).view;
-    } else {
-      topDest = view::memView("out", def_.body->type);
-      noteSizeVars(def_.body->type->flatCount());
-      summary_.extents["out"] = spec_.subst(def_.body->type->flatCount());
-    }
-    collectArray(def_.body, topDest);
-
-    finalizeSizeVars();
+    walkArray(def_.body, bindKernel());
+    summary_.sizeVars = sizeParams([this](const std::string& v) {
+      return atoms_.count(v) || summary_.letIndex.count(v);
+    });
+    summary_.domains = std::move(domains_);
+    summary_.extents = std::move(extents_);
     return std::move(summary_);
   }
 
  private:
-  /// A value in flight: the summary tree plus, when the scalar is an
-  /// integer the index algebra can follow, its arith::Expr form.
-  struct EV {
-    SummaryValPtr val;
-    std::optional<Expr> ival;
-  };
-  struct Binding {
-    ViewPtr view;
-    std::optional<EV> scalar;
-  };
-
-  static bool isIntScalar(const ir::TypePtr& t) {
-    return t->isScalar() && t->scalarKind() == ir::ScalarKind::Int;
-  }
-
-  const ExprPtr& findParam(const std::string& name) const {
-    for (const auto& p : def_.params) {
-      if (p->name == name) return p;
-    }
-    throw CodegenError("unknown parameter: " + name);
-  }
-
-  bool isParam(const std::string& name) const {
-    for (const auto& p : def_.params) {
-      if (p->name == name) return true;
-    }
-    return false;
-  }
-
-  std::string fresh(const std::string& base) {
-    return base + "_" + std::to_string(counter_++);
-  }
-
-  void noteSizeVars(const Expr& e) {
-    for (const auto& v : e.freeVars()) rawSizeVars_.insert(v);
-  }
-
-  void finalizeSizeVars() {
-    for (const auto& v : rawSizeVars_) {
-      if (summary_.domains.count(v) || atoms_.count(v) ||
-          summary_.letIndex.count(v)) {
-        continue;
-      }
-      summary_.sizeVars.insert(v);
-    }
-  }
-
-  void registerLoop(const std::string& iv, const Expr& len) {
-    summary_.domains[iv] = Domain{Expr(0), len - Expr(1), true};
-    noteSizeVars(len);
-    if (optimized_) {
-      // Identical to Emitter::enterLoopDomain: iv in [0, len-1], nonempty.
-      prover_.setDomain(iv, Domain{Expr(0), len - Expr(1), true});
-      prover_.assumeNonNegative(len - Expr(1));
-    }
-  }
-
   // --- access resolution ---------------------------------------------------
 
   Expr atomFor(const std::string& mem, const Expr& rawIndex) {
@@ -210,7 +120,7 @@ class Summarizer {
     if (it != atomCache_.end()) return Expr::var(it->second);
     std::string name = preferredAtom_;
     preferredAtom_.clear();
-    if (name.empty() || atoms_.count(name) || summary_.domains.count(name) ||
+    if (name.empty() || atoms_.count(name) || domains_.count(name) ||
         summary_.letIndex.count(name)) {
       name = fresh("ld");
     }
@@ -219,15 +129,18 @@ class Summarizer {
     return Expr::var(name);
   }
 
+  /// A flat address as the walk's emitter prints it: specialized, then
+  /// simplified when optimized.
+  Expr address(const Expr& raw) const {
+    return optimized_ ? simplifyIndex(raw, prover_) : raw;
+  }
+
   std::vector<ValGuard> processGuards(const std::vector<view::AccessGuard>& in) {
     std::vector<ValGuard> out;
     out.reserve(in.size());
     for (const auto& g : in) {
       ValGuard vg;
-      // Specialization substitutes before simplification, mirroring the
-      // emitter's accessCode; both walks see the same substituted guard.
-      const Expr adjusted = spec_.subst(g.adjusted);
-      vg.adjusted = optimized_ ? simplifyIndex(adjusted, prover_) : adjusted;
+      vg.adjusted = address(spec_.subst(g.adjusted));
       vg.size = spec_.subst(g.size);
       if (optimized_) {
         const GuardSides sides =
@@ -240,15 +153,46 @@ class Summarizer {
     return out;
   }
 
-  /// Resolves a scalar view read into a value, applying the optimizer's
-  /// address/guard pipeline when summarizing the optimized emission.
-  EV loadVal(const ViewPtr& v) {
+  // --- walk hooks ------------------------------------------------------------
+
+  /// Specialized int scalars bind to their constant and real ones to their
+  /// literal, as the emitter prints them.
+  EV scalarParam(const Node& p) const {
+    if (isIntScalar(p.type)) {
+      auto si = spec_.ints.find(p.name);
+      const Expr iv = si != spec_.ints.end() ? Expr(si->second)
+                                             : Expr::var(p.name);
+      return EV{makeIndex(iv), iv};
+    }
+    auto sr = spec_.reals.find(p.name);
+    const std::string code =
+        sr != spec_.reals.end()
+            ? enclose("(",
+                      memory::Specialization::realLiteral(sr->second,
+                                                          def_.real),
+                      ")")
+            : p.name;
+    return EV{makeLit(code), {}};
+  }
+
+  EV indexValue(const Expr& index) const { return EV{makeIndex(index), index}; }
+
+  /// The emitter embeds the element's C code in the constant view; the
+  /// value tree is stashed behind a unique token that load() recovers.
+  std::string constant(const EV& elem) {
+    const std::string token = fresh("cv");
+    constVals_.emplace(token, elem);
+    return token;
+  }
+
+  /// Resolves a scalar view read into a value, through the optimizer's
+  /// address/guard pipeline on an optimized walk.
+  EV load(const ViewPtr& v) {
     view::ResolvedAccess a = view::resolveAccess(v, /*forStore=*/false);
     EV ev;
     switch (a.kind) {
       case view::ResolvedAccess::Kind::Iota: {
-        const Expr raw = spec_.subst(a.index);
-        const Expr ix = optimized_ ? simplifyIndex(raw, prover_) : raw;
+        const Expr ix = address(spec_.subst(a.index));
         ev = EV{makeIndex(ix), ix};
         lastIota_ = ev.val;
         break;
@@ -260,10 +204,10 @@ class Summarizer {
       }
       case view::ResolvedAccess::Kind::Mem: {
         const Expr raw = spec_.subst(a.index);
-        const Expr addr = optimized_ ? simplifyIndex(raw, prover_) : raw;
+        const Expr addr = address(raw);
         ev.val = makeLoad(a.mem, addr);
         if (v->type && isIntScalar(v->type)) ev.ival = atomFor(a.mem, raw);
-        // Mirrors the emitter's accessCode: the probe sees what it prints.
+        // The probe sees the load as the emitter prints it.
         if (probe_) {
           probe_->noteLoad(a.mem, addr, spec_.subst(a.extent),
                            !a.guards.empty());
@@ -277,32 +221,27 @@ class Summarizer {
     return ev;
   }
 
-  void recordStore(const ViewPtr& v, const EV& value) {
+  EV store(const ViewPtr& v, EV value) {
     view::ResolvedAccess a = view::resolveAccess(v, /*forStore=*/true);
     if (a.kind != view::ResolvedAccess::Kind::Mem) {
       throw CodegenError("store destination did not resolve to memory");
     }
     StoreSummary s;
     s.buffer = a.mem;
-    const Expr raw = spec_.subst(a.index);
-    s.address = optimized_ ? simplifyIndex(raw, prover_) : raw;
+    s.address = address(spec_.subst(a.index));
     s.value = value.val ? value.val : makeLit("?");
     s.context = "store " + a.mem + "[" + a.index.toString() + "]";
     summary_.stores.push_back(std::move(s));
+    return value;
   }
 
-  // --- scalar walk ---------------------------------------------------------
+  Expr indexLeaf(const ExprPtr& e) {
+    const EV v = scalar(e);
+    return v.ival ? *v.ival : Expr::var(fresh("ix"));
+  }
 
-  EV evalVal(const ExprPtr& e) {
-    const Node& n = *e;
+  EV compute(const Node& n) {
     switch (n.op) {
-      case Op::Param: {
-        auto it = env_.find(&n);
-        if (it == env_.end()) throw CodegenError("unbound parameter: " + n.name);
-        if (it->second.view) return loadVal(it->second.view);
-        return it->second.scalar.value_or(EV{makeLit(n.name), {}});
-      }
-
       case Op::Literal:
         if (n.literalKind == ir::ScalarKind::Int) {
           const Expr c(static_cast<std::int64_t>(n.literalValue));
@@ -311,8 +250,8 @@ class Summarizer {
         return EV{makeLit(strformat("%.17g", n.literalValue)), {}};
 
       case Op::Binary: {
-        EV a = evalVal(n.args[0]);
-        EV b = evalVal(n.args[1]);
+        EV a = scalar(n.args[0]);
+        EV b = scalar(n.args[1]);
         if (isIntScalar(n.type) && a.ival && b.ival) {
           std::optional<Expr> r;
           switch (n.bin) {
@@ -330,7 +269,7 @@ class Summarizer {
       }
 
       case Op::Unary: {
-        EV a = evalVal(n.args[0]);
+        EV a = scalar(n.args[0]);
         if (n.un == ir::UnOp::Neg && isIntScalar(n.type) && a.ival) {
           const Expr r = Expr(0) - *a.ival;
           return EV{makeIndex(r), r};
@@ -344,17 +283,17 @@ class Summarizer {
           if (probe_ && probe_->select == &n) probe_->arm = a;
         };
         arm(0);
-        EV c = evalVal(n.args[0]);
+        EV c = scalar(n.args[0]);
         arm(1);
-        EV t = evalVal(n.args[1]);
+        EV t = scalar(n.args[1]);
         arm(2);
-        EV f = evalVal(n.args[2]);
+        EV f = scalar(n.args[2]);
         arm(-1);
         return EV{makeApply("select", {c.val, t.val, f.val}), {}};
       }
 
       case Op::Cast: {
-        EV a = evalVal(n.args[0]);
+        EV a = scalar(n.args[0]);
         std::optional<Expr> ival;
         if (isIntScalar(n.type) && isIntScalar(n.args[0]->type)) ival = a.ival;
         return EV{
@@ -366,360 +305,63 @@ class Summarizer {
 
       case Op::UserFunCall: {
         std::vector<SummaryValPtr> args;
-        for (const auto& a : n.args) args.push_back(evalVal(a).val);
+        for (const auto& a : n.args) args.push_back(scalar(a).val);
         return EV{makeApply("call " + n.userFun->name, std::move(args)), {}};
       }
 
-      case Op::Get: {
-        if (n.args[0]->op == Op::MakeTuple) {
-          return evalVal(
-              n.args[0]->args[static_cast<std::size_t>(n.tupleIndex)]);
-        }
-        return loadVal(
-            view::tupleComponentView(viewOf(n.args[0]), n.tupleIndex));
-      }
-
-      case Op::ArrayAccess:
-        return loadVal(view::accessView(viewOf(n.args[0]), indexOf(n.args[1])));
-
-      case Op::Let: {
-        collectLet(e);
-        return evalVal(n.args[2]);
-      }
-
-      case Op::Reduce:
-        return evalReduce(e);
-
-      case Op::WriteTo: {
-        EV value = evalVal(n.args[1]);
-        recordStore(viewOf(n.args[0]), value);
-        return value;
-      }
-
       default:
-        throw CodegenError("expression is not scalar-emittable: op #" +
-                           std::to_string(static_cast<int>(n.op)));
+        notScalar(n);
     }
   }
 
-  EV evalReduce(const ExprPtr& e) {
-    const Node& n = *e;
-    // Emitter name order: accumulator, then init emission, then loop var.
-    const std::string acc = fresh("acc");
-    EV init = evalVal(n.args[0]);
-    const ExprPtr& input = n.args[1];
-    const std::string iv = fresh("r");
-    registerLoop(iv, spec_.subst(input->type->size()));
-    bindElement(n.lambda->params[1], input, Expr::var(iv));
-    env_[n.lambda->params[0].get()] = Binding{nullptr, EV{makeLit(acc), {}}};
-    EV body = evalVal(n.lambda->body);
+  /// The emitter binds a scalar let to a C local and treats the name as
+  /// opaque in index algebra: ival is the binder's name, while the value
+  /// tree keeps the full computation for comparison.
+  EV letScalar(const std::string& name, const ExprPtr& value) {
+    const bool pureLoad = value->op == Op::Param ||
+                          value->op == Op::ArrayAccess ||
+                          value->op == Op::Get;
+    if (pureLoad && isIntScalar(value->type)) {
+      // Loaded opaque integers adopt the binder's name, so summary
+      // addresses read like the emitted code.
+      preferredAtom_ = name;
+    }
+    lastIota_ = nullptr;
+    EV v = scalar(value);
+    preferredAtom_.clear();
+    if (!isIntScalar(value->type)) return EV{v.val, {}};
+    const Expr named = Expr::var(name);
+    if (v.ival && !(*v.ival == named)) summary_.letIndex[name] = *v.ival;
+    // A let holding an Iota element read: the loop index itself.
+    if (probe_ && lastIota_ && v.val == lastIota_) {
+      probe_->iotaLets[name] = *v.ival;
+    }
+    return EV{v.val, named};
+  }
+
+  std::string accumulatorName() { return fresh("acc"); }
+
+  EV accumulator(const std::string& acc, const Node&, const EV&) const {
+    return EV{makeLit(acc), {}};
+  }
+
+  EV reduced(const std::string& acc, const EV& init, const std::string& iv,
+             const EV& body) const {
     return EV{makeApply("reduce " + acc + " " + iv, {init.val, body.val}), {}};
   }
 
-  void collectLet(const ExprPtr& e) {
-    const Node& n = *e;
-    const ExprPtr& binder = n.args[0];
-    const ExprPtr& value = n.args[1];
-    if (value->type->isScalar()) {
-      const bool pureLoad = value->op == Op::Param ||
-                            value->op == Op::ArrayAccess ||
-                            value->op == Op::Get;
-      if (pureLoad && isIntScalar(value->type)) {
-        // Loaded opaque integers adopt the binder's name, the same
-        // unification the access collector performs, so summary addresses
-        // read like the emitted code.
-        preferredAtom_ = binder->name;
-      }
-      lastIota_ = nullptr;
-      EV v = evalVal(value);
-      preferredAtom_.clear();
-      if (isIntScalar(value->type)) {
-        const Expr self = Expr::var(binder->name);
-        if (v.ival && !(*v.ival == self)) {
-          summary_.letIndex[binder->name] = *v.ival;
-        }
-        // Mirrors the emitter's emitLet: a let holding an Iota element read.
-        if (probe_ && lastIota_ && v.val == lastIota_) {
-          probe_->iotaLets[binder->name] = *v.ival;
-        }
-        // The emitter binds the value to a C local and treats the name as
-        // opaque in index algebra; mirror that with ival = the binder name,
-        // but keep the full computation tree for value comparison.
-        env_[binder.get()] = Binding{nullptr, EV{v.val, self}};
-      } else {
-        env_[binder.get()] = Binding{nullptr, EV{v.val, {}}};
-      }
-      return;
-    }
-    if (value->type->isArray()) {
-      switch (value->op) {
-        case Op::Param:
-        case Op::Zip:
-        case Op::Slide:
-        case Op::Pad:
-        case Op::Split:
-        case Op::Join:
-        case Op::Transpose:
-        case Op::Slide3:
-        case Op::Pad3:
-        case Op::Iota:
-        case Op::Get:
-        case Op::ArrayAccess:
-        case Op::ArrayCons:
-          env_[binder.get()] = Binding{viewOf(value), {}};
-          return;
-        default:
-          break;
-      }
-      const Expr count = value->type->flatCount();
-      if (!count.isConst()) {
-        throw CodegenError("private array '" + binder->name +
-                           "' must have a compile-time extent, got " +
-                           count.toString());
-      }
-      summary_.extents[binder->name] = count;
-      collectArray(value, view::memView(binder->name, value->type));
-      env_[binder.get()] =
-          Binding{view::memView(binder->name, value->type), {}};
-      return;
-    }
-    throw CodegenError("let of tuple values is not supported");
-  }
+  // --- guard speculation -----------------------------------------------------
 
-  // --- index conversion ----------------------------------------------------
+  bool maySpeculate() const { return !probe_; }
 
-  Expr indexOf(const ExprPtr& e) {
-    const Node& n = *e;
-    switch (n.op) {
-      case Op::Literal:
-        if (n.literalKind == ir::ScalarKind::Int) {
-          return Expr(static_cast<std::int64_t>(n.literalValue));
-        }
-        break;
-      case Op::Param: {
-        auto it = env_.find(&n);
-        if (it != env_.end() && !it->second.view && it->second.scalar &&
-            it->second.scalar->ival) {
-          return *it->second.scalar->ival;
-        }
-        break;
-      }
-      case Op::Binary:
-        switch (n.bin) {
-          case ir::BinOp::Add:
-            return indexOf(n.args[0]) + indexOf(n.args[1]);
-          case ir::BinOp::Sub:
-            return indexOf(n.args[0]) - indexOf(n.args[1]);
-          case ir::BinOp::Mul:
-            return indexOf(n.args[0]) * indexOf(n.args[1]);
-          case ir::BinOp::Div:
-            return arith::div(indexOf(n.args[0]), indexOf(n.args[1]));
-          default:
-            break;
-        }
-        break;
-      default:
-        break;
-    }
-    EV v = evalVal(e);
-    if (v.ival) return *v.ival;
-    return Expr::var(fresh("ix"));
-  }
-
-  // --- views ---------------------------------------------------------------
-
-  ViewPtr viewOf(const ExprPtr& e) {
-    const Node& n = *e;
-    switch (n.op) {
-      case Op::Param: {
-        auto it = env_.find(&n);
-        if (it == env_.end() || !it->second.view) {
-          throw CodegenError("parameter '" + n.name +
-                             "' is not bound to a view");
-        }
-        return it->second.view;
-      }
-      case Op::Zip: {
-        std::vector<ViewPtr> children;
-        children.reserve(n.args.size());
-        for (const auto& a : n.args) children.push_back(viewOf(a));
-        return view::zipView(std::move(children), n.type);
-      }
-      case Op::Slide:
-        return view::slideView(viewOf(n.args[0]), n.size1, n.size2);
-      case Op::Pad:
-        return view::padView(viewOf(n.args[0]), n.size1, n.size2, n.padMode);
-      case Op::Split:
-        return view::splitView(viewOf(n.args[0]), n.size1);
-      case Op::Join:
-        return view::joinView(viewOf(n.args[0]));
-      case Op::Transpose:
-        return view::transposeView(viewOf(n.args[0]));
-      case Op::Slide3:
-        return view::slide3View(viewOf(n.args[0]), n.size1, n.size2);
-      case Op::Pad3:
-        return view::pad3View(viewOf(n.args[0]), n.size1, n.padMode);
-      case Op::Iota:
-        return view::iotaView(n.size1);
-      case Op::Get:
-        return view::tupleComponentView(viewOf(n.args[0]), n.tupleIndex);
-      case Op::ArrayAccess:
-        return view::accessView(viewOf(n.args[0]), indexOf(n.args[1]));
-      case Op::WriteTo:
-        return viewOf(n.args[0]);
-      case Op::ArrayCons: {
-        // The emitter evaluates the element here and embeds its C code;
-        // stash the value tree behind a unique token so later loads of the
-        // constant view recover it.
-        EV elem = evalVal(n.args[0]);
-        const std::string token = fresh("cv");
-        constVals_.emplace(token, elem);
-        return view::constantView(token, n.type);
-      }
-      default:
-        throw CodegenError(
-            "expression cannot be used as a view; materialize it with Let "
-            "(op #" + std::to_string(static_cast<int>(n.op)) + ")");
-    }
-  }
-
-  void bindElement(const ExprPtr& paramNode, const ExprPtr& input,
-                   const Expr& index) {
-    const Node& in = *input;
-    if (in.op == Op::Iota) {
-      env_[paramNode.get()] = Binding{nullptr, EV{makeIndex(index), index}};
-      return;
-    }
-    if (in.op == Op::ArrayCons) {
-      env_[paramNode.get()] = Binding{nullptr, evalVal(in.args[0])};
-      return;
-    }
-    env_[paramNode.get()] =
-        Binding{view::accessView(viewOf(input), index), {}};
-  }
-
-  // --- array walk ----------------------------------------------------------
-
-  void collectArray(const ExprPtr& e, ViewPtr dest) {
-    const Node& n = *e;
-    switch (n.op) {
-      case Op::Map:
-        collectMap(e, std::move(dest));
-        return;
-
-      case Op::Concat: {
-        if (!dest) throw CodegenError("Concat requires a destination");
-        Expr offset(0);
-        for (const auto& child : n.args) {
-          if (child->op == Op::Skip) {
-            offset = offset + child->type->size();
-            continue;
-          }
-          collectArray(child, view::offsetView(dest, offset));
-          offset = offset + child->type->size();
-        }
-        return;
-      }
-
-      case Op::ArrayCons: {
-        if (!dest) throw CodegenError("ArrayCons requires a destination");
-        // Emitter order: the element is evaluated once, before the loop.
-        // The straight-line check keys on the *raw* extent (the emitter
-        // checks n.size1 before substituting), then the loop length is
-        // specialized — same structural decision in both.
-        EV elem = evalVal(n.args[0]);
-        if (n.size1.isConst(1)) {
-          recordStore(view::accessView(dest, Expr(0)), elem);
-          return;
-        }
-        const std::string iv = fresh("i");
-        registerLoop(iv, spec_.subst(n.size1));
-        recordStore(view::accessView(dest, Expr::var(iv)), elem);
-        return;
-      }
-
-      case Op::WriteTo: {
-        const ViewPtr redirected = viewOf(n.args[0]);
-        if (n.args[1]->type->isScalar()) {
-          evalVal(e);
-          return;
-        }
-        collectArray(n.args[1], redirected);
-        return;
-      }
-
-      case Op::Skip:
-        throw CodegenError("Skip may only appear inside Concat");
-
-      case Op::Let:
-        collectLet(e);
-        collectArray(n.args[2], std::move(dest));
-        return;
-
-      case Op::MakeTuple: {
-        for (const auto& comp : n.args) collectComponent(comp);
-        return;
-      }
-
-      default:
-        throw CodegenError("array expression cannot be emitted: op #" +
-                           std::to_string(static_cast<int>(n.op)));
-    }
-  }
-
-  void collectComponent(const ExprPtr& comp) {
-    if (comp->type->isScalar()) {
-      evalVal(comp);
-      return;
-    }
-    collectArray(comp, nullptr);
-  }
-
-  void collectMap(const ExprPtr& e, ViewPtr dest) {
-    const Node& n = *e;
-    const ExprPtr& input = n.args[0];
-    // Substituted before the straight-line check below — the emitter
-    // substitutes the map extent at the same point, so both validation
-    // walks make the same structural choice for spec'd single-iteration
-    // maps.
-    const Expr len = spec_.subst(input->type->size());
-    const ExprPtr& bodyExpr = n.lambda->body;
-
-    const bool collapsed =
-        dest != nullptr && bodyExpr->type != nullptr &&
-        bodyExpr->type->isArray() && ir::typeEquals(dest->type, bodyExpr->type);
-
-    if (n.mapKind == ir::MapKind::Seq && len.isConst(1)) {
-      collectMapIteration(n, dest, collapsed, Expr(0));
-      return;
-    }
-
-    std::string iv;
-    if (n.mapKind == ir::MapKind::Glb) {
-      iv = fresh("g");
-    } else if (n.mapKind == ir::MapKind::Seq) {
-      iv = fresh("i");
-    } else {
-      throw CodegenError("MapWrg/MapLcl require local-memory support, which "
-                         "the barrier-free generator does not emit");
-    }
-    // The chunk schedule changes loop geometry, not the per-index work; the
-    // emitter registers iv in [0, len-1] either way, and so does the summary.
-    registerLoop(iv, len);
-    // Guard speculation: the same candidate test, probe and decision as the
-    // emitter's chunk-scheduled maps of specialized kernels (codegen
-    // emitSpeculatable).
-    const ir::Node* select = nullptr;
-    if (optimized_ && n.mapKind == ir::MapKind::Glb && n.mapDim == 0 &&
-        dest && !collapsed && !spec_.empty() && !probe_) {
-      select = speculationCandidate(bodyExpr);
-    }
-    if (select != nullptr) {
-      probe_.emplace();
-      probe_->select = select;
-    }
-    collectMapIteration(n, dest, collapsed, Expr::var(iv));
-    if (select == nullptr) return;
+  /// Walks the map body with a probe attached and decides speculation as
+  /// the emitter does; a speculated store records its domain and marks
+  /// the loads of its select's t arm.
+  void speculate(const Node& n, const ViewPtr& dest, const std::string& iv,
+                 const Expr& len, const Node* select) {
+    probe_.emplace();
+    probe_->select = select;
+    mapIteration(n, dest, false, Expr::var(iv));
     const SpeculationProbe probe = std::move(*probe_);
     probe_.reset();
     StoreSummary& st = summary_.stores.back();
@@ -746,50 +388,13 @@ class Summarizer {
     return copy;
   }
 
-  void collectMapIteration(const Node& n, const ViewPtr& dest, bool collapsed,
-                           const Expr& index) {
-    const ExprPtr& input = n.args[0];
-    const ExprPtr& bodyExpr = n.lambda->body;
-    bindElement(n.lambda->params[0], input, index);
-
-    if (bodyExpr->type->isScalar()) {
-      EV code = evalVal(bodyExpr);
-      if (dest) {
-        recordStore(view::accessView(dest, index), code);
-      }
-    } else if (bodyExpr->type->isTuple()) {
-      if (bodyExpr->op == Op::MakeTuple) {
-        for (const auto& comp : bodyExpr->args) collectComponent(comp);
-      } else if (bodyExpr->op == Op::Let) {
-        collectArray(n.lambda->body, nullptr);
-      } else {
-        throw CodegenError("tuple-typed map body must be a Tuple or Let");
-      }
-    } else {
-      ViewPtr elementDest;
-      if (collapsed) {
-        elementDest = dest;
-      } else if (dest) {
-        elementDest = view::accessView(dest, index);
-      }
-      collectArray(bodyExpr, elementDest);
-    }
-  }
-
-  const memory::KernelDef& def_;
-  const bool optimized_;
-  const memory::Specialization spec_;
   KernelSummary summary_;
-  Prover prover_;
-  std::map<const Node*, Binding> env_;
   std::map<std::string, std::string> atomCache_;  // buffer@index -> atom name
   std::map<std::string, EV> constVals_;           // ArrayCons token -> value
   std::set<std::string> atoms_;
-  std::set<std::string> rawSizeVars_;
   std::string preferredAtom_;
   SummaryValPtr lastIota_;  // the last Iota element read's value node
   std::optional<SpeculationProbe> probe_;
-  int counter_ = 0;
 };
 
 // --- equality proving -------------------------------------------------------
@@ -1108,8 +713,7 @@ std::optional<std::string> diffVal(const Prover& p, const SummaryValPtr& ref,
 }  // namespace
 
 KernelSummary summarizeKernel(const memory::KernelDef& def, bool optimized) {
-  Summarizer s(def, optimized);
-  return s.run();
+  return summarizeKernel(def, optimized, memory::Specialization{});
 }
 
 KernelSummary summarizeKernel(const memory::KernelDef& def, bool optimized,

@@ -114,18 +114,18 @@ struct KernelSummary {
   std::map<std::string, arith::Expr> extents;
 };
 
-/// Symbolically evaluates the kernel the way the emitter would generate it:
-/// `optimized=false` keeps raw view-resolved addresses and full guards;
-/// `optimized=true` applies the same simplifyIndex/proveGuardSides pipeline
-/// (with an identically-seeded prover) the optimizing emitter uses. Local
-/// naming is deterministic, so two walks over the same IR align store-for-
-/// store. Throws CodegenError on IR the emitter would also reject.
+/// Symbolically evaluates the kernel through the emitter's own IR walk
+/// (analysis/walk.hpp): `optimized=false` keeps raw view-resolved
+/// addresses and full guards; `optimized=true` applies the
+/// simplifyIndex/proveGuardSides pipeline of the optimizing emitter, with
+/// the walk's prover. Local naming is deterministic, so two walks over the
+/// same IR align store-for-store. Throws CodegenError on IR the emitter
+/// would also reject.
 KernelSummary summarizeKernel(const memory::KernelDef& def, bool optimized);
 
 /// As above under a constant specialization: every specialized scalar
 /// parameter is replaced by its concrete value in both index algebra and
-/// value trees, at the same structural points the specializing emitter
-/// substitutes. Substituting a parameter by the value the host binds is a
+/// value trees, at the points the specializing emitter substitutes it. Substituting a parameter by the value the host binds is a
 /// renaming of the environment, so validating spec'd-reference against
 /// spec'd-optimized extends the translation-validation gate over the
 /// specialization pass itself (DESIGN.md §12).

@@ -10,6 +10,7 @@
 #include "analysis/simplify.hpp"
 #include "analysis/speculate.hpp"
 #include "analysis/verify.hpp"
+#include "analysis/walk.hpp"
 #include "common/error.hpp"
 #include "common/string_util.hpp"
 #include "ir/typecheck.hpp"
@@ -66,10 +67,16 @@ bool containsDivMod(const arith::Expr& e) {
   return false;
 }
 
-class Emitter {
+/// Prints a kernel as C over the shared IR walk (analysis/walk.hpp): values
+/// are C expressions, loads and stores are printed through the optimizer's
+/// index pipeline, loops as C for-loops.
+class Emitter : public analysis::Walk<Emitter, std::string> {
+  using Base = analysis::Walk<Emitter, std::string>;
+  friend Base;
+
  public:
-  Emitter(const memory::KernelDef& def, CodegenOptions opts)
-      : def_(def), opts_(opts) {}
+  Emitter(const memory::KernelDef& def, const CodegenOptions& opts)
+      : Base(def, opts.spec, opts.optimize) {}
 
   GeneratedKernel run() {
     checkPrecision();
@@ -78,25 +85,14 @@ class Emitter {
     out.name = def_.name;
     out.plan = memory::planMemory(def_);
 
-    seedProver();
     scopes_.emplace_back();  // function-top scope (level 0)
-
-    bindParams(out.plan);
+    for (const auto& p : def_.params) declared_.insert(p->name);
     emitUnpack(out.plan);
-
-    ViewPtr topDest;
-    if (memory::isEffectOnly(def_.body)) {
-      // All writes happen through WriteTo destinations.
-    } else if (def_.outAliasParam) {
-      topDest = env_.at(findParam(*def_.outAliasParam).get()).view;
-    } else {
-      topDest = view::memView("out", def_.body->type);
-    }
-    emitArray(def_.body, topDest);
+    walkArray(def_.body, bindKernel());
 
     LIFTA_CHECK(scopes_.size() == 1, "unbalanced codegen scopes");
     out.body = scopes_.front().text.str();
-    out.optimized = opts_.optimize;
+    out.optimized = optimized_;
     if (usedChunk_) out.preferredChunk = kChunk;
     out.source = assemble(out);
     return out;
@@ -124,88 +120,31 @@ class Emitter {
 
   // --- bindings -----------------------------------------------------------
 
-  struct Binding {
-    ViewPtr view;            // arrays / tuples
-    std::string scalarCode;  // scalars (C expression, usually a local name)
-  };
-
-  const ExprPtr& findParam(const std::string& name) const {
-    for (const auto& p : def_.params) {
-      if (p->name == name) return p;
-    }
-    throw CodegenError("unknown parameter: " + name);
-  }
-
-  bool isParam(const std::string& name) const {
-    for (const auto& p : def_.params) {
-      if (p->name == name) return true;
-    }
-    return false;
-  }
-
-  void bindParams(const memory::MemoryPlan& plan) {
-    for (const auto& p : def_.params) {
-      if (p->type->isArray()) {
-        env_[p.get()] = Binding{view::memView(p->name, p->type), ""};
-      } else {
-        env_[p.get()] = Binding{nullptr, scalarParamCode(p)};
-      }
-      declared_.insert(p->name);
-      varLevel_[p->name] = 0;
-    }
-    (void)plan;
-  }
-
   /// A scalar parameter's C expression: normally the local unpacked from
   /// the args array; under specialization, the baked literal. Int constants
-  /// stay bare decimal so indexExpr folds them into the index algebra; real
+  /// stay bare decimal so indexLeaf folds them into the index algebra; real
   /// constants are parenthesized so negative literals splice safely.
-  std::string scalarParamCode(const ExprPtr& p) const {
-    if (auto it = opts_.spec.ints.find(p->name); it != opts_.spec.ints.end()) {
-      const ir::TypePtr scalar = p->type->isTuple() ? nullptr
-                                                    : p->type->scalarElem();
+  std::string scalarParam(const Node& p) const {
+    if (auto it = spec_.ints.find(p.name); it != spec_.ints.end()) {
+      const ir::TypePtr scalar = p.type->isTuple() ? nullptr
+                                                   : p.type->scalarElem();
       if (scalar && scalar->scalarKind() == ir::ScalarKind::Int) {
         return std::to_string(it->second);
       }
     }
-    if (auto it = opts_.spec.reals.find(p->name);
-        it != opts_.spec.reals.end()) {
+    if (auto it = spec_.reals.find(p.name); it != spec_.reals.end()) {
       return enclose(
           "(", memory::Specialization::realLiteral(it->second, def_.real),
           ")");
     }
-    return p->name;
+    return p.name;
   }
 
-  /// Applies the specialization's int constants to an index expression
-  /// (loop bounds, flat addresses, pad guards). A no-op when unspecialized.
-  arith::Expr subst(const arith::Expr& e) const { return opts_.spec.subst(e); }
-
-  // --- prover -------------------------------------------------------------
-
-  /// Size parameters appearing in array extents are nonnegative by
-  /// construction — the same fact base the analysis passes start from.
-  void seedProver() {
-    if (!opts_.optimize) return;
-    for (const auto& p : def_.params) {
-      if (!p->type->isArray()) continue;
-      for (const auto& v : p->type->flatCount().freeVars()) {
-        prover_.assumeAtLeast(v, 0);
-      }
-    }
+  std::string indexValue(const arith::Expr& index) const {
+    return index.toString();
   }
 
-  /// Registers a loop variable's range after its scope was opened. Inside
-  /// the body iv is in [0, len-1] and the range is nonempty — exactly the
-  /// fact set the verifier's bounds pass uses, so every rewrite licensed
-  /// here re-proves there.
-  void enterLoopDomain(const std::string& iv, const arith::Expr& len) {
-    varLevel_[iv] = curLevel();
-    if (!opts_.optimize) return;
-    prover_.setDomain(iv, analysis::Domain{arith::Expr(0),
-                                           len - arith::Expr(1), true});
-    prover_.assumeNonNegative(len - arith::Expr(1));
-  }
+  std::string constant(const std::string& code) const { return code; }
 
   // --- output helpers -----------------------------------------------------
 
@@ -240,10 +179,6 @@ class Emitter {
     stmt(sc.header + " {");
     scopes_.back().text << sc.text.str();
     stmt("}");
-  }
-
-  std::string fresh(const std::string& base) {
-    return base + "_" + std::to_string(counter_++);
   }
 
   void declareLocal(const std::string& name) {
@@ -329,10 +264,10 @@ class Emitter {
   std::string accessCode(view::ResolvedAccess a, bool forStore) {
     // Specialization substitutes before simplification so the prover and
     // the simplifier see concrete extents and strides.
-    a.index = subst(a.index);
+    a.index = spec_.subst(a.index);
     for (auto& g : a.guards) {
-      g.adjusted = subst(g.adjusted);
-      g.size = subst(g.size);
+      g.adjusted = spec_.subst(g.adjusted);
+      g.size = spec_.subst(g.size);
     }
     a.index = analysis::simplifyIndex(a.index, prover_);
     for (auto& g : a.guards) {
@@ -352,7 +287,7 @@ class Emitter {
       case view::ResolvedAccess::Kind::Mem:
         inner = a.mem + "[" + indexCode(a.index) + "]";
         if (!forStore && probe_) {
-          probe_->noteLoad(a.mem, a.index, subst(a.extent),
+          probe_->noteLoad(a.mem, a.index, spec_.subst(a.extent),
                            !a.guards.empty());
         }
         break;
@@ -377,14 +312,19 @@ class Emitter {
     return inner;
   }
 
-  std::string loadCode(const ViewPtr& v) {
-    if (!opts_.optimize) return view::resolveLoad(v, zeroLiteral());
+  std::string load(const ViewPtr& v) {
+    if (!optimized_) return view::resolveLoad(v, zeroLiteral());
     return accessCode(view::resolveAccess(v, /*forStore=*/false), false);
   }
 
-  std::string storeCode(const ViewPtr& v) {
-    if (!opts_.optimize) return view::resolveStore(v);
-    return accessCode(view::resolveAccess(v, /*forStore=*/true), true);
+  /// Prints `slot = value;` and returns the slot's code.
+  std::string store(const ViewPtr& slot, const std::string& value) {
+    const std::string lhs =
+        optimized_ ? accessCode(view::resolveAccess(slot, /*forStore=*/true),
+                                true)
+                   : view::resolveStore(slot);
+    stmt(lhs + " = " + value + ";");
+    return lhs;
   }
 
   // --- scalar literal / op printing ---------------------------------------
@@ -426,28 +366,14 @@ class Emitter {
 
   // --- scalar emission -----------------------------------------------------
 
-  /// Emits any statements the scalar expression needs and returns a C
-  /// expression for its value.
-  std::string emitScalar(const ExprPtr& e) {
-    const Node& n = *e;
+  std::string compute(const Node& n) {
     switch (n.op) {
-      case Op::Param: {
-        auto it = env_.find(&n);
-        if (it == env_.end()) {
-          throw CodegenError("unbound parameter: " + n.name);
-        }
-        if (it->second.view) {
-          return loadCode(it->second.view);
-        }
-        return it->second.scalarCode;
-      }
-
       case Op::Literal:
         return printLiteral(n);
 
       case Op::Binary: {
-        const std::string a = emitScalar(n.args[0]);
-        const std::string b = emitScalar(n.args[1]);
+        const std::string a = scalar(n.args[0]);
+        const std::string b = scalar(n.args[1]);
         if (n.bin == ir::BinOp::Min || n.bin == ir::BinOp::Max) {
           const bool isInt =
               n.type->scalarKind() == ir::ScalarKind::Int;
@@ -460,19 +386,19 @@ class Emitter {
       }
 
       case Op::Unary: {
-        const std::string a = emitScalar(n.args[0]);
+        const std::string a = scalar(n.args[0]);
         return (n.un == ir::UnOp::Neg ? "(-" : "(!") + a + ")";
       }
 
       case Op::Select: {
-        const std::string c = emitScalar(n.args[0]);
-        const std::string t = emitScalar(n.args[1]);
-        const std::string f = emitScalar(n.args[2]);
+        const std::string c = scalar(n.args[0]);
+        const std::string t = scalar(n.args[1]);
+        const std::string f = scalar(n.args[2]);
         return "(" + c + " ? " + t + " : " + f + ")";
       }
 
       case Op::Cast: {
-        const std::string a = emitScalar(n.args[0]);
+        const std::string a = scalar(n.args[0]);
         return "((" + ir::cTypeName(n.type->scalarKind(), realName()) + ")" +
                a + ")";
       }
@@ -480,428 +406,130 @@ class Emitter {
       case Op::UserFunCall: {
         usedFuns_[n.userFun->name] = n.userFun;
         std::vector<std::string> args;
-        for (const auto& a : n.args) args.push_back(emitScalar(a));
+        for (const auto& a : n.args) args.push_back(scalar(a));
         return n.userFun->name + "(" + join(args, ", ") + ")";
       }
 
-      case Op::Get: {
-        // Projection of a zipped element or a constructed tuple.
-        if (n.args[0]->op == Op::MakeTuple) {
-          return emitScalar(
-              n.args[0]->args[static_cast<std::size_t>(n.tupleIndex)]);
-        }
-        const ViewPtr v =
-            view::tupleComponentView(viewOf(n.args[0]), n.tupleIndex);
-        return loadCode(v);
-      }
-
-      case Op::ArrayAccess: {
-        const ViewPtr v =
-            view::accessView(viewOf(n.args[0]), indexExpr(n.args[1]));
-        return loadCode(v);
-      }
-
-      case Op::Let: {
-        emitLet(e);
-        return emitScalar(n.args[2]);
-      }
-
-      case Op::Reduce:
-        return emitReduce(e);
-
-      case Op::WriteTo: {
-        // Scalar in-place update: dest is an element position.
-        const std::string value = emitScalar(n.args[1]);
-        const ViewPtr destView = viewOf(n.args[0]);
-        const std::string lhs = storeCode(destView);
-        stmt(lhs + " = " + value + ";");
-        return lhs;
-      }
-
       default:
-        throw CodegenError("expression is not scalar-emittable: op #" +
-                           std::to_string(static_cast<int>(n.op)));
+        analysis::notScalar(n);
     }
   }
 
-  /// Emits `val name = value` bindings. Scalar values become C locals;
-  /// array values are materialized into private arrays (compile-time extent,
-  /// e.g. the per-branch ODE state copies of FD-MM, Listing 4's _g1/_v2).
-  void emitLet(const ExprPtr& e) {
-    const Node& n = *e;
-    const ExprPtr& binder = n.args[0];
-    const ExprPtr& value = n.args[1];
-    // The speculated copy of a map body renames its lets: every emitted
-    // copy declares its own locals.
-    std::string name = binder->name;
-    while (speculating_ && declared_.count(name)) name = fresh(binder->name);
+  /// The speculated copy of a map body renames its lets: every emitted copy
+  /// declares its own locals.
+  std::string letName(const Node& binder) {
+    std::string name = binder.name;
+    while (speculating_ && declared_.count(name)) name = fresh(binder.name);
     declareLocal(name);
-    if (value->type->isScalar()) {
-      lastIota_ = IotaRead{};
-      const std::string code = emitScalar(value);
-      std::string type = ir::cTypeName(value->type->scalarKind(), realName());
-      std::string init = code;
-      if (!lastIota_.code.empty() && code == lastIota_.code) {
-        // The let holds the loop index itself. The speculated copy keeps
-        // it 64-bit: g < len <= INT_MAX, so dropping the (int) narrowing is
-        // value-preserving, and the loads stay affine in the loop counter.
-        if (probe_) probe_->iotaLets[name] = lastIota_.index;
-        if (speculating_) {
-          type = "long";
-          init = lastIota_.indexCode;
-        }
-      }
-      stmt("const " + type + " " + name + " = " + init + ";");
-      env_[binder.get()] = Binding{nullptr, name};
-      return;
-    }
-    if (value->type->isArray()) {
-      // Lazy values (views over existing memory) bind directly — no copy.
-      switch (value->op) {
-        case Op::Param:
-        case Op::Zip:
-        case Op::Slide:
-        case Op::Pad:
-        case Op::Split:
-        case Op::Join:
-        case Op::Transpose:
-        case Op::Slide3:
-        case Op::Pad3:
-        case Op::Iota:
-        case Op::Get:
-        case Op::ArrayAccess:
-        case Op::ArrayCons:
-          env_[binder.get()] = Binding{viewOf(value), ""};
-          return;
-        default:
-          break;
-      }
-      const arith::Expr count = value->type->flatCount();
-      if (!count.isConst()) {
-        throw CodegenError(
-            "private array '" + binder->name +
-            "' must have a compile-time extent, got " + count.toString());
-      }
-      stmt(ir::cTypeName(value->type->scalarElem()->scalarKind(), realName()) +
-           " " + name + "[" + std::to_string(count.constValue()) + "];");
-      emitArray(value, view::memView(name, value->type));
-      env_[binder.get()] = Binding{view::memView(name, value->type), ""};
-      return;
-    }
-    throw CodegenError("let of tuple values is not supported");
+    return name;
   }
 
-  std::string emitReduce(const ExprPtr& e) {
-    const Node& n = *e;
+  /// A scalar let becomes a C local.
+  std::string letScalar(const std::string& name, const ExprPtr& value) {
+    lastIota_ = IotaRead{};
+    const std::string code = scalar(value);
+    std::string type = ir::cTypeName(value->type->scalarKind(), realName());
+    std::string init = code;
+    if (!lastIota_.code.empty() && code == lastIota_.code) {
+      // The let holds the loop index itself. The speculated copy keeps
+      // it 64-bit: g < len <= INT_MAX, so dropping the (int) narrowing is
+      // value-preserving, and the loads stay affine in the loop counter.
+      if (probe_) probe_->iotaLets[name] = lastIota_.index;
+      if (speculating_) {
+        type = "long";
+        init = lastIota_.indexCode;
+      }
+    }
+    stmt("const " + type + " " + name + " = " + init + ";");
+    return name;
+  }
+
+  void declarePrivate(const std::string& name, const ir::TypePtr& type,
+                      std::int64_t count) {
+    stmt(ir::cTypeName(type->scalarElem()->scalarKind(), realName()) + " " +
+         name + "[" + std::to_string(count) + "];");
+  }
+
+  std::string accumulatorName() {
     const std::string acc = fresh("acc");
     declareLocal(acc);
-    const std::string initCode = emitScalar(n.args[0]);
-    stmt(ir::cTypeName(n.type->scalarKind(), realName()) + " " + acc + " = " +
-         initCode + ";");
+    return acc;
+  }
 
-    const ExprPtr& input = n.args[1];
-    const std::string iv = fresh("r");
-    const arith::Expr len = subst(input->type->size());
-    open("for (long " + iv + " = 0; " + iv + " < " + len.toString() + "; ++" +
-         iv + ")");
-    enterLoopDomain(iv, len);
-    bindElement(n.lambda->params[1], input, arith::Expr::var(iv));
-    env_[n.lambda->params[0].get()] = Binding{nullptr, acc};
-    const std::string bodyCode = emitScalar(n.lambda->body);
-    stmt(acc + " = " + bodyCode + ";");
-    close();
+  std::string accumulator(const std::string& acc, const Node& reduce,
+                          const std::string& init) {
+    stmt(ir::cTypeName(reduce.type->scalarKind(), realName()) + " " + acc +
+         " = " + init + ";");
+    return acc;
+  }
+
+  std::string reduced(const std::string& acc, const std::string&,
+                      const std::string&, const std::string& body) {
+    stmt(acc + " = " + body + ";");
     return acc;
   }
 
   // --- index conversion ----------------------------------------------------
 
-  /// Converts a scalar Int IR expression into a symbolic index. Simple
-  /// expressions translate structurally; anything else is materialized into
-  /// a local so the view algebra only ever sees well-formed terms.
-  arith::Expr indexExpr(const ExprPtr& e) {
-    const Node& n = *e;
-    switch (n.op) {
-      case Op::Literal:
-        if (n.literalKind == ir::ScalarKind::Int) {
-          return arith::Expr(static_cast<std::int64_t>(n.literalValue));
-        }
-        break;
-      case Op::Param: {
-        const std::string code = emitScalar(e);
-        if (isIdentifier(code)) return arith::Expr::var(code);
-        if (isDecimalInteger(code)) {
-          return arith::Expr(static_cast<std::int64_t>(std::stoll(code)));
-        }
-        break;
+  /// A parameter whose code is a name or a decimal joins the index algebra
+  /// as is; anything else is evaluated once into a local index variable,
+  /// so the view algebra only ever sees well-formed terms.
+  arith::Expr indexLeaf(const ExprPtr& e) {
+    const std::string code = scalar(e);
+    if (e->op == Op::Param) {
+      if (isIdentifier(code)) return arith::Expr::var(code);
+      if (isDecimalInteger(code)) {
+        return arith::Expr(static_cast<std::int64_t>(std::stoll(code)));
       }
-      case Op::Binary: {
-        switch (n.bin) {
-          case ir::BinOp::Add:
-            return indexExpr(n.args[0]) + indexExpr(n.args[1]);
-          case ir::BinOp::Sub:
-            return indexExpr(n.args[0]) - indexExpr(n.args[1]);
-          case ir::BinOp::Mul:
-            return indexExpr(n.args[0]) * indexExpr(n.args[1]);
-          case ir::BinOp::Div:
-            return indexExpr(n.args[0]) / indexExpr(n.args[1]);
-          default:
-            break;
-        }
-        break;
-      }
-      default:
-        break;
     }
-    // Fallback: evaluate once into a local index variable.
-    const std::string code = emitScalar(e);
     const std::string tmp = fresh("ix");
     declareLocal(tmp);
     stmt("const long " + tmp + " = " + code + ";");
     return arith::Expr::var(tmp);
   }
 
-  // --- input views ----------------------------------------------------------
+  // --- loops ---------------------------------------------------------------
 
-  /// Builds the input view of a "lazy" expression (one that describes data
-  /// without computing it). Non-lazy inputs must be bound through Let.
-  ViewPtr viewOf(const ExprPtr& e) {
-    const Node& n = *e;
-    switch (n.op) {
-      case Op::Param: {
-        auto it = env_.find(&n);
-        if (it == env_.end() || !it->second.view) {
-          throw CodegenError("parameter '" + n.name +
-                             "' is not bound to a view");
-        }
-        return it->second.view;
-      }
-      case Op::Zip: {
-        std::vector<ViewPtr> children;
-        children.reserve(n.args.size());
-        for (const auto& a : n.args) children.push_back(viewOf(a));
-        return view::zipView(std::move(children), n.type);
-      }
-      case Op::Slide:
-        return view::slideView(viewOf(n.args[0]), n.size1, n.size2);
-      case Op::Pad:
-        return view::padView(viewOf(n.args[0]), n.size1, n.size2, n.padMode);
-      case Op::Split:
-        return view::splitView(viewOf(n.args[0]), n.size1);
-      case Op::Join:
-        return view::joinView(viewOf(n.args[0]));
-      case Op::Transpose:
-        return view::transposeView(viewOf(n.args[0]));
-      case Op::Slide3:
-        return view::slide3View(viewOf(n.args[0]), n.size1, n.size2);
-      case Op::Pad3:
-        return view::pad3View(viewOf(n.args[0]), n.size1, n.padMode);
-      case Op::Iota:
-        return view::iotaView(n.size1);
-      case Op::Get:
-        return view::tupleComponentView(viewOf(n.args[0]), n.tupleIndex);
-      case Op::ArrayAccess:
-        return view::accessView(viewOf(n.args[0]), indexExpr(n.args[1]));
-      case Op::WriteTo:
-        return viewOf(n.args[0]);
-      case Op::ArrayCons:
-        return view::constantView(emitScalar(n.args[0]), n.type);
-      default:
-        throw CodegenError(
-            "expression cannot be used as a view; materialize it with Let "
-            "(op #" + std::to_string(static_cast<int>(n.op)) + ")");
-    }
-  }
-
-  /// Binds a lambda parameter to the `index`-th element of `input`.
-  void bindElement(const ExprPtr& paramNode, const ExprPtr& input,
-                   const arith::Expr& index) {
-    const Node& in = *input;
-    if (in.op == Op::Iota) {
-      // The element of an index range *is* the loop index; binding the raw
-      // index keeps generated subscripts clean (G[(g_0 + M*b)] rather than
-      // a chain of cast temporaries).
-      env_[paramNode.get()] = Binding{nullptr, index.toString()};
-      return;
-    }
-    if (in.op == Op::ArrayCons) {
-      env_[paramNode.get()] = Binding{nullptr, emitScalar(in.args[0])};
-      return;
-    }
-    const ViewPtr elem = view::accessView(viewOf(input), index);
-    if (elem->type->isScalar()) {
-      // Keep scalars as views so repeated uses re-resolve to the same load;
-      // the host compiler CSEs them.
-      env_[paramNode.get()] = Binding{elem, ""};
+  void openLoop(const Node* map, const std::string& iv,
+                const arith::Expr& len) {
+    if (map != nullptr) declareLocal(iv);
+    const std::string len_s = len.toString();
+    if (map == nullptr || map->mapKind == ir::MapKind::Seq) {
+      open("for (long " + iv + " = 0; " + iv + " < " + len_s + "; ++" + iv +
+           ")");
+    } else if (optimized_ && map->mapDim == 0) {
+      // Contiguous-chunk schedule: work item i covers the index range
+      // [i*c, min((i+1)*c, len)) with c = max(ceil(len/gsz), chunk).
+      // gsz*c >= len and the ranges are disjoint, so every launch
+      // geometry covers [0, len) exactly once — the host may (and does)
+      // shrink the launch to ~ceil(len/chunk) items to cut per-item
+      // dispatch overhead.
+      usedChunk_ = true;
+      const std::string c = std::to_string(kChunk);
+      stmt("const long " + iv + "_n = get_global_size(ctx, 0);");
+      stmt("long " + iv + "_c = (" + len_s + " + " + iv + "_n - 1) / " + iv +
+           "_n;");
+      stmt("if (" + iv + "_c < " + c + ") " + iv + "_c = " + c + ";");
+      stmt("const long " + iv + "_lo = get_global_id(ctx, 0) * " + iv +
+           "_c;");
+      stmt("const long " + iv + "_hi = lifta_imin(" + iv + "_lo + " + iv +
+           "_c, " + len_s + ");");
+      open("for (long " + iv + " = " + iv + "_lo; " + iv + " < " + iv +
+           "_hi; ++" + iv + ")");
     } else {
-      env_[paramNode.get()] = Binding{elem, ""};
+      const std::string d = std::to_string(map->mapDim);
+      open("for (long " + iv + " = get_global_id(ctx, " + d + "); " + iv +
+           " < " + len_s + "; " + iv + " += get_global_size(ctx, " + d +
+           "))");
     }
+    varLevel_[iv] = curLevel();
   }
 
-  // --- array emission --------------------------------------------------------
+  void closeLoop() { close(); }
 
-  /// Emits an array-typed (or effect-only) expression into `dest`.
-  /// `dest == nullptr` means the value is produced purely for its WriteTo
-  /// side effects.
-  void emitArray(const ExprPtr& e, ViewPtr dest) {
-    const Node& n = *e;
-    switch (n.op) {
-      case Op::Map:
-        emitMap(e, std::move(dest));
-        return;
+  // --- guard speculation ----------------------------------------------------
 
-      case Op::Concat: {
-        if (!dest) throw CodegenError("Concat requires a destination");
-        arith::Expr offset(0);
-        for (const auto& child : n.args) {
-          if (child->op == Op::Skip) {
-            // Table I: Skip generates no code; it only advances the offset.
-            offset = offset + child->type->size();
-            continue;
-          }
-          emitArray(child, view::offsetView(dest, offset));
-          offset = offset + child->type->size();
-        }
-        return;
-      }
-
-      case Op::ArrayCons: {
-        if (!dest) throw CodegenError("ArrayCons requires a destination");
-        const std::string code = emitScalar(n.args[0]);
-        if (n.size1.isConst(1)) {
-          const ViewPtr slot = view::accessView(dest, arith::Expr(0));
-          stmt(storeCode(slot) + " = " + code + ";");
-          return;
-        }
-        const arith::Expr consLen = subst(n.size1);
-        const std::string iv = fresh("i");
-        open("for (long " + iv + " = 0; " + iv + " < " + consLen.toString() +
-             "; ++" + iv + ")");
-        enterLoopDomain(iv, consLen);
-        const ViewPtr slot = view::accessView(dest, arith::Expr::var(iv));
-        stmt(storeCode(slot) + " = " + code + ";");
-        close();
-        return;
-      }
-
-      case Op::WriteTo: {
-        // Redirect output into the destination's own memory (§IV-B:
-        // "sets the outputView of the second argument to the inputView of
-        // the first argument").
-        const ViewPtr redirected = viewOf(n.args[0]);
-        if (n.args[1]->type->isScalar()) {
-          emitScalar(e);
-          return;
-        }
-        emitArray(n.args[1], redirected);
-        return;
-      }
-
-      case Op::Skip:
-        throw CodegenError("Skip may only appear inside Concat");
-
-      case Op::Let:
-        emitLet(e);
-        emitArray(n.args[2], std::move(dest));
-        return;
-
-      case Op::MakeTuple: {
-        for (const auto& comp : n.args) emitComponent(comp);
-        return;
-      }
-
-      default:
-        throw CodegenError("array expression cannot be emitted: op #" +
-                           std::to_string(static_cast<int>(n.op)));
-    }
-  }
-
-  /// A tuple component in effect position: scalar WriteTo or nested
-  /// effect-only arrays (Listing 8's Tuple of WriteTo results).
-  void emitComponent(const ExprPtr& comp) {
-    if (comp->type->isScalar()) {
-      emitScalar(comp);  // statements (if any) already emitted
-      return;
-    }
-    emitArray(comp, nullptr);
-  }
-
-  void emitMap(const ExprPtr& e, ViewPtr dest) {
-    const Node& n = *e;
-    const ExprPtr& input = n.args[0];
-    // Substituted before the straight-line check below; the summarizer
-    // substitutes at the same point, so both validation walks make the
-    // same structural choice.
-    const arith::Expr len = subst(input->type->size());
-    const ExprPtr& bodyExpr = n.lambda->body;
-
-    // Collapsed in-place mode (paper §IV-B2): the lambda produces, via
-    // Concat/Skip, an array that *types* as the whole destination; every
-    // iteration then writes into the same buffer rather than into row i.
-    const bool collapsed =
-        dest != nullptr && bodyExpr->type != nullptr &&
-        bodyExpr->type->isArray() && ir::typeEquals(dest->type, bodyExpr->type);
-
-    // A sequential map over a single element (the ArrayCons(x, 1) idiom of
-    // §IV-B2) is emitted straight-line, matching the paper's generated code.
-    if (n.mapKind == ir::MapKind::Seq && len.isConst(1)) {
-      emitMapIteration(n, dest, collapsed, arith::Expr(0));
-      return;
-    }
-
-    std::string iv;
-    bool chunked = false;
-    if (n.mapKind == ir::MapKind::Glb) {
-      iv = fresh("g");
-      declareLocal(iv);
-      const std::string d = std::to_string(n.mapDim);
-      chunked = opts_.optimize && n.mapDim == 0;
-      if (chunked) {
-        // Contiguous-chunk schedule: work item i covers the index range
-        // [i*c, min((i+1)*c, len)) with c = max(ceil(len/gsz), chunk).
-        // gsz*c >= len and the ranges are disjoint, so every launch
-        // geometry covers [0, len) exactly once — the host may (and does)
-        // shrink the launch to ~ceil(len/chunk) items to cut per-item
-        // dispatch overhead.
-        usedChunk_ = true;
-        const std::string len_s = len.toString();
-        const std::string c = std::to_string(kChunk);
-        stmt("const long " + iv + "_n = get_global_size(ctx, 0);");
-        stmt("long " + iv + "_c = (" + len_s + " + " + iv + "_n - 1) / " +
-             iv + "_n;");
-        stmt("if (" + iv + "_c < " + c + ") " + iv + "_c = " + c + ";");
-        stmt("const long " + iv + "_lo = get_global_id(ctx, 0) * " + iv +
-             "_c;");
-        stmt("const long " + iv + "_hi = lifta_imin(" + iv + "_lo + " + iv +
-             "_c, " + len_s + ");");
-        open("for (long " + iv + " = " + iv + "_lo; " + iv + " < " + iv +
-             "_hi; ++" + iv + ")");
-      } else {
-        open("for (long " + iv + " = get_global_id(ctx, " + d + "); " + iv +
-             " < " + len.toString() + "; " + iv +
-             " += get_global_size(ctx, " + d + "))");
-      }
-    } else if (n.mapKind == ir::MapKind::Seq) {
-      iv = fresh("i");
-      declareLocal(iv);
-      open("for (long " + iv + " = 0; " + iv + " < " + len.toString() +
-           "; ++" + iv + ")");
-    } else {
-      throw CodegenError("MapWrg/MapLcl require local-memory support, which "
-                         "the barrier-free generator does not emit");
-    }
-    enterLoopDomain(iv, len);
-    // Speculation is a rewrite of the specialized (-O3) tier only: at the
-    // generic tier's -O2 the split loop does not vectorize (DESIGN.md §6).
-    if (chunked && dest && !collapsed && !opts_.spec.empty() && !probe_ &&
-        !speculating_) {
-      if (const Node* sel = analysis::speculationCandidate(bodyExpr)) {
-        emitSpeculatable(n, dest, iv, len, sel);
-        return;
-      }
-    }
-    emitMapIteration(n, dest, collapsed, arith::Expr::var(iv));
-    close();
-  }
+  bool maySpeculate() const { return !probe_ && !speculating_; }
 
   /// The C code of a select's arms, in emission order.
   struct Arms {
@@ -913,7 +541,7 @@ class Emitter {
   Arms emitSelectArms(const ExprPtr& body) {
     ExprPtr v = body;
     while (v->op == Op::Let) {
-      emitLet(v);
+      let(*v);
       v = v->args[2];
     }
     const auto arm = [this](int a) {
@@ -921,11 +549,11 @@ class Emitter {
     };
     Arms out;
     arm(0);
-    out.c = emitScalar(v->args[0]);
+    out.c = scalar(v->args[0]);
     arm(1);
-    out.t = emitScalar(v->args[1]);
+    out.t = scalar(v->args[1]);
     arm(2);
-    out.f = emitScalar(v->args[2]);
+    out.f = scalar(v->args[2]);
     arm(-1);
     return out;
   }
@@ -936,25 +564,22 @@ class Emitter {
   /// a middle range [mlo, mhi), the guarded body moves into a two-part loop
   /// over the chunk's edges and a middle loop stores t unconditionally,
   /// then f where !c. Otherwise the guarded loop stays the only one.
-  void emitSpeculatable(const Node& n, const ViewPtr& dest,
-                        const std::string& iv, const arith::Expr& len,
-                        const Node* select) {
+  void speculate(const Node& n, const ViewPtr& dest, const std::string& iv,
+                 const arith::Expr& len, const Node* select) {
     const arith::Expr g = arith::Expr::var(iv);
     const ViewPtr slot = view::accessView(dest, g);
     bindElement(n.lambda->params[0], n.args[0], g);
     probe_.emplace();
     probe_->select = select;
     const Arms guarded = emitSelectArms(n.lambda->body);
-    const std::string lhs = storeCode(slot);
-    stmt(lhs + " = (" + guarded.c + " ? " + guarded.t + " : " + guarded.f +
-         ");");
+    store(slot, "(" + guarded.c + " ? " + guarded.t + " : " + guarded.f + ")");
     const analysis::SpeculationProbe probe = std::move(*probe_);
     probe_.reset();
     const auto range =
         isParam(view::resolveAccess(slot, /*forStore=*/true).mem)
             ? std::nullopt
             : analysis::speculationRange(
-                  probe, iv, len, analysis::runtimeInts(def_, opts_.spec));
+                  probe, iv, len, analysis::runtimeInts(def_, spec_));
     if (!range) {
       close();
       return;
@@ -984,48 +609,14 @@ class Emitter {
 
     open("for (long " + iv + " = " + iv + "_mlo; " + iv + " < " + iv +
          "_mhi; ++" + iv + ")");
-    enterLoopDomain(iv, len);
+    varLevel_[iv] = curLevel();
+    enterLoop(iv, len);
     speculating_ = true;
     const Arms spec = emitSelectArms(n.lambda->body);
     speculating_ = false;
-    const std::string specLhs = storeCode(slot);
-    stmt(specLhs + " = " + spec.t + ";");
+    const std::string specLhs = store(slot, spec.t);
     stmt("if (!(" + spec.c + ")) " + specLhs + " = " + spec.f + ";");
     close();
-  }
-
-  void emitMapIteration(const Node& n, const ViewPtr& dest, bool collapsed,
-                        const arith::Expr& index) {
-    const ExprPtr& input = n.args[0];
-    const ExprPtr& bodyExpr = n.lambda->body;
-    bindElement(n.lambda->params[0], input, index);
-
-    if (bodyExpr->type->isScalar()) {
-      const std::string code = emitScalar(bodyExpr);
-      if (dest) {
-        const ViewPtr slot = view::accessView(dest, index);
-        stmt(storeCode(slot) + " = " + code + ";");
-      }
-      // Without a destination the body must act through WriteTo; its
-      // statements were already emitted.
-    } else if (bodyExpr->type->isTuple()) {
-      if (bodyExpr->op == Op::MakeTuple) {
-        for (const auto& comp : bodyExpr->args) emitComponent(comp);
-      } else if (bodyExpr->op == Op::Let) {
-        emitArray(bodyExpr, nullptr);
-      } else {
-        throw CodegenError("tuple-typed map body must be a Tuple or Let");
-      }
-    } else {
-      // Array-typed body.
-      ViewPtr elementDest;
-      if (collapsed) {
-        elementDest = dest;
-      } else if (dest) {
-        elementDest = view::accessView(dest, index);
-      }
-      emitArray(bodyExpr, elementDest);
-    }
   }
 
   // --- kernel assembly -------------------------------------------------------
@@ -1033,7 +624,7 @@ class Emitter {
   void emitUnpack(const memory::MemoryPlan& plan) {
     // The kernel ABI never passes the same buffer through two array slots,
     // so the optimizer may promise the compiler non-aliasing pointers.
-    const std::string rq = opts_.optimize ? "__restrict " : "";
+    const std::string rq = optimized_ ? "__restrict " : "";
     for (std::size_t i = 0; i < plan.args.size(); ++i) {
       const auto& a = plan.args[i];
       if (a.isArray) {
@@ -1055,10 +646,10 @@ class Emitter {
   std::string assemble(const GeneratedKernel& k) {
     std::ostringstream src;
     src << "// generated by lift-acoustics from LIFT IR — do not edit\n";
-    if (!opts_.spec.empty()) {
+    if (!spec_.empty()) {
       // The digest makes the specialization part of the JIT content hash
       // even when substitution happens to leave the body text unchanged.
-      src << "// specialized: " << opts_.spec.digest() << "\n";
+      src << "// specialized: " << spec_.digest() << "\n";
     }
     src << kernelPreamble(def_.real);
     for (const auto& [name, fn] : usedFuns_) {
@@ -1081,10 +672,6 @@ class Emitter {
     return src.str();
   }
 
-  const memory::KernelDef& def_;
-  CodegenOptions opts_;
-  analysis::Prover prover_;
-  std::map<const Node*, Binding> env_;
   std::map<std::string, ir::UserFunPtr> usedFuns_;
   std::set<std::string> declared_;
   std::map<std::string, int> varLevel_;  // name -> loop level it lives at
@@ -1101,7 +688,6 @@ class Emitter {
   std::optional<analysis::SpeculationProbe> probe_;
   bool speculating_ = false;  // emitting the speculated middle copy
   bool usedChunk_ = false;
-  int counter_ = 0;
 };
 
 }  // namespace

@@ -15,6 +15,7 @@
 // an output *view*; the paper's WriteTo/Concat/Skip/ArrayCons primitives act
 // purely by rewriting that view (offsetting, aliasing), which reproduces the
 // in-place scattered updates of §IV-B without touching the loop emitter.
+// That traversal is analysis/walk.hpp, shared with the static analyses.
 #pragma once
 
 #include <map>

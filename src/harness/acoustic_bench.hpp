@@ -141,7 +141,7 @@ public:
     }
     const auto gen =
         codegen::generateKernel(lift_acoustics::liftVolumeKernel(rk), copts_);
-    b.range = launchConfigFor(gen, cells(), local, ctx_.pool());
+    b.range = launchConfigFor(gen, cells(), local, ThreadPool::global());
     auto program = ctx_.buildProgram(gen.source);
     b.kernel = std::make_shared<ocl::Kernel>(program, gen.name);
     bindKernelArgs(*b.kernel, gen.plan,
@@ -177,7 +177,7 @@ public:
     }
     const auto gen = codegen::generateKernel(
         lift_acoustics::liftFusedFiKernel(rk), copts_);
-    b.range = launchConfigFor(gen, cells(), local, ctx_.pool());
+    b.range = launchConfigFor(gen, cells(), local, ThreadPool::global());
     auto program = ctx_.buildProgram(gen.source);
     b.kernel = std::make_shared<ocl::Kernel>(program, gen.name);
     bindKernelArgs(*b.kernel, gen.plan,
@@ -213,7 +213,8 @@ public:
     }
     const auto gen =
         codegen::generateKernel(lift_acoustics::liftFiMmKernel(rk), copts_);
-    b.range = launchConfigFor(gen, boundaryPoints(), local, ctx_.pool());
+    b.range = launchConfigFor(gen, boundaryPoints(), local,
+                              ThreadPool::global());
     auto program = ctx_.buildProgram(gen.source);
     b.kernel = std::make_shared<ocl::Kernel>(program, gen.name);
     bindKernelArgs(*b.kernel, gen.plan,
@@ -257,7 +258,8 @@ public:
     }
     const auto gen = codegen::generateKernel(
         lift_acoustics::liftFdMmKernel(rk, branches_), copts_);
-    b.range = launchConfigFor(gen, boundaryPoints(), local, ctx_.pool());
+    b.range = launchConfigFor(gen, boundaryPoints(), local,
+                              ThreadPool::global());
     auto program = ctx_.buildProgram(gen.source);
     b.kernel = std::make_shared<ocl::Kernel>(program, gen.name);
     bindKernelArgs(*b.kernel, gen.plan,

@@ -323,13 +323,18 @@ double DeviceSimulation::step() {
 
 double DeviceSimulation::sample(int x, int y, int z) {
   Impl& im = *impl_;
-  // Before the first step the field is the zero initial state.
-  if (!im.uploaded) return 0.0;
+  const std::size_t idx = config_.room.index(x, y, z);
+  const bool f64 = config_.precision == ir::ScalarKind::Double;
+  // Before the first step the field is the staged initial state, impulses
+  // included, as the first step uploads it (bindReal).
+  if (!im.uploaded) {
+    return f64 ? im.curr[idx]
+               : static_cast<double>(static_cast<float>(im.curr[idx]));
+  }
   // The last boundary launch wrote the step's result in place, so its
   // node's buffer holds the whole updated field; read just this element.
   const auto buf = im.compiled->deviceBuffer(im.step.kernels.back());
-  const std::size_t idx = config_.room.index(x, y, z);
-  if (config_.precision == ir::ScalarKind::Double) {
+  if (f64) {
     double v = 0.0;
     buf->read(&v, sizeof v, idx * sizeof v);
     return v;

@@ -63,7 +63,9 @@ public:
   /// step's kernel time in [0,1].
   double step();
 
-  /// Pressure at a grid point after the last step (reads one value back).
+  /// Pressure at a grid point after the last step (reads one value back);
+  /// before the first step, the initial field with its impulses, at the
+  /// kernels' precision.
   double sample(int x, int y, int z);
 
   /// Steps `n` times recording the pressure at (x,y,z) after each step.

@@ -1,16 +1,14 @@
 #include "ocl/device.hpp"
 
-#include <thread>
-
 namespace lifta::ocl {
 
 std::vector<DeviceProfile> paperPlatforms() {
   // Table III: Platforms and Hardware Metrics used.
   return {
-      DeviceProfile{"NVIDIA GTX 780", 288.0, 3977.0, 1024, 0},
-      DeviceProfile{"AMD Radeon HD 7970", 288.0, 4096.0, 256, 0},
-      DeviceProfile{"NVIDIA TITAN Black", 337.0, 5120.0, 1024, 0},
-      DeviceProfile{"AMD Radeon R9 295X2", 320.0, 5733.0, 256, 0},
+      DeviceProfile{"NVIDIA GTX 780", 288.0, 3977.0, 1024},
+      DeviceProfile{"AMD Radeon HD 7970", 288.0, 4096.0, 256},
+      DeviceProfile{"NVIDIA TITAN Black", 337.0, 5120.0, 1024},
+      DeviceProfile{"AMD Radeon R9 295X2", 320.0, 5733.0, 256},
   };
 }
 
@@ -20,7 +18,6 @@ DeviceProfile nativeDevice() {
   d.memBandwidthGBs = 0.0;
   d.peakSpGflops = 0.0;
   d.maxWorkGroupSize = 1024;
-  d.threads = std::thread::hardware_concurrency();
   return d;
 }
 

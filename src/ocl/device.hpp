@@ -21,9 +21,8 @@ struct DeviceProfile {
   /// commentary only; they do not affect simulated execution speed).
   double memBandwidthGBs = 0.0;
   double peakSpGflops = 0.0;
-  /// Execution configuration.
+  /// Execution configuration. Kernels run on ThreadPool::global().
   int maxWorkGroupSize = 1024;
-  std::size_t threads = 0;  // 0 = hardware concurrency
 };
 
 /// The four platforms of Table III.

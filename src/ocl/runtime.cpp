@@ -109,9 +109,7 @@ void Kernel::setArg(int index, double value) { setScalar(index, &value, sizeof v
 
 // --- Context ------------------------------------------------------------------
 
-Context::Context(DeviceProfile profile) : profile_(std::move(profile)) {
-  pool_ = std::make_unique<ThreadPool>(profile_.threads);
-}
+Context::Context(DeviceProfile profile) : profile_(std::move(profile)) {}
 
 ProgramPtr Context::buildProgram(const std::string& source,
                                  const std::string& buildOptions) {
@@ -172,7 +170,7 @@ Event CommandQueue::enqueueNDRange(Kernel& kernel, const NDRange& range) {
   const KernelEntry entry = kernel.entry_;
 
   Timer t;
-  ctx_.pool().parallelFor(totalGroups, [&](std::size_t linearGroup) {
+  ThreadPool::global().parallelFor(totalGroups, [&](std::size_t linearGroup) {
     WiCtx ctx;
     const std::size_t wg0 = linearGroup % numGroups[0];
     const std::size_t wg1 = (linearGroup / numGroups[0]) % numGroups[1];

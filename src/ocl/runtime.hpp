@@ -142,13 +142,14 @@ private:
   std::vector<Arg> args_;
 };
 
-/// Owns the device profile, its executor threads, and program builds.
+/// Owns the device profile and program builds. Kernels run on
+/// ThreadPool::global(), the pool every other parallel stage of the process
+/// shares, so device launches never oversubscribe the machine.
 class Context {
 public:
   explicit Context(DeviceProfile profile = nativeDevice());
 
   const DeviceProfile& device() const { return profile_; }
-  ThreadPool& pool() { return *pool_; }
 
   /// clBuildProgram analogue; cached process-wide by (flags, source) hash.
   /// `buildOptions` are extra compiler flags (clBuildProgram's options
@@ -162,7 +163,6 @@ public:
 
 private:
   DeviceProfile profile_;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 /// In-order queue with profiling. Execution is synchronous: each enqueue

@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "common/json_writer.hpp"
 #include "common/string_util.hpp"
+#include "common/thread_pool.hpp"
 #include "common/wav.hpp"
 #include "ism/hybrid.hpp"
 #include "lift_acoustics/device_simulation.hpp"
@@ -306,8 +307,6 @@ RirService::RirService() : RirService(Config{}) {}
 RirService::RirService(Config config) : config_(config) {
   LIFTA_CHECK(config_.workers >= 1, "service needs at least one worker");
   LIFTA_CHECK(config_.memoryBudgetBytes > 0, "memory budget must be > 0");
-  stepPool_ = config_.stepPool != nullptr ? config_.stepPool
-                                          : &ThreadPool::global();
   const auto voxel = acoustics::voxelCacheStats();
   voxelHitsAtStart_ = voxel.hits;
   voxelMissesAtStart_ = voxel.misses;
@@ -596,7 +595,7 @@ JobStatus RirService::runReferenceJob(
   cfg.numMaterials = spec.numMaterials;
   cfg.numBranches = spec.numBranches;
   cfg.materials = spec.materials;
-  cfg.pool = stepPool_;
+  cfg.pool = &ThreadPool::global();
   acoustics::Simulation<T> sim(cfg);
 
   if (!spec.resumeFrom.empty()) {

@@ -4,8 +4,9 @@
 // "simulate this room with these materials, sources and receivers for N
 // steps, return the impulse responses" (the batch-RIR workload gpuRIR and
 // pyroomacoustics expose). The service runs many jobs concurrently on a
-// fixed set of executor threads while every job's stepper shares ONE
-// ThreadPool for its intra-step slab/run parallelism — concurrent
+// fixed set of executor threads while every job shares ONE ThreadPool,
+// ThreadPool::global(), for its intra-step parallelism (the reference
+// stepper's slabs and runs, the device tier's work-groups) — concurrent
 // submissions serialize inside the pool, and jobs launched from inside a
 // pool task compose through the pool's re-entrancy path — so the machine is
 // never oversubscribed no matter how many jobs are in flight.
@@ -38,7 +39,6 @@
 #include "acoustics/simulation.hpp"
 #include "acoustics/step_profiler.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "ism/ism_engine.hpp"
 #include "lift_acoustics/kernel_tier.hpp"
 
@@ -276,9 +276,6 @@ public:
     int workers = 2;
     /// Admission budget over estimateMemoryBytes of all running jobs.
     std::size_t memoryBudgetBytes = std::size_t{2} << 30;
-    /// Shared stepping pool for every job's intra-step parallelism;
-    /// nullptr = the process-wide pool.
-    ThreadPool* stepPool = nullptr;
   };
 
   explicit RirService(Config config);
@@ -352,7 +349,6 @@ private:
   bool deadlineExpired(const Job& job) const;
 
   Config config_;
-  ThreadPool* stepPool_ = nullptr;
 
   mutable std::mutex mu_;
   std::condition_variable cvQueue_;  // executors: work or budget available

@@ -1,8 +1,10 @@
 // The optimizer pipeline's two contracts, as tests:
 //
-//  1. Golden-source snapshots of optimized kernels. Any change to the
-//     pass pipeline shows up as a source diff against tests/codegen/golden/;
-//     regenerate deliberately with LIFTA_UPDATE_GOLDEN=1.
+//  1. Golden snapshots under tests/codegen/golden/: the optimized bodies of
+//     five kernels, and for every shipped kernel what each IR walk makes of
+//     it (sources, accesses, store summaries). Any change to the pass
+//     pipeline or the shared walk shows up as a diff; regenerate
+//     deliberately with LIFTA_UPDATE_GOLDEN=1.
 //  2. Bit-identity: optimized and unoptimized codegen must produce
 //     bitwise-identical results for all four models (FI, FI-MM, FD-MM,
 //     geophys FDTD2D) across two grid shapes. The optimizer may only
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "acoustics/geometry.hpp"
+#include "analysis/access.hpp"
 #include "analysis/equiv.hpp"
 #include "acoustics/materials.hpp"
 #include "acoustics/sim_params.hpp"
@@ -55,8 +58,8 @@ CodegenOptions unoptimized() {
 
 // --- golden snapshots -------------------------------------------------------
 
-void checkGolden(const std::string& name, const std::string& body) {
-  const std::string path = std::string(LIFTA_GOLDEN_DIR) + "/" + name + ".c";
+void checkGolden(const std::string& file, const std::string& body) {
+  const std::string path = std::string(LIFTA_GOLDEN_DIR) + "/" + file;
   if (std::getenv("LIFTA_UPDATE_GOLDEN") != nullptr) {
     std::ofstream out(path);
     ASSERT_TRUE(out.good()) << "cannot write " << path;
@@ -69,12 +72,12 @@ void checkGolden(const std::string& name, const std::string& body) {
   std::stringstream ss;
   ss << in.rdbuf();
   EXPECT_EQ(ss.str(), body)
-      << "optimized codegen for '" << name << "' drifted from " << path
+      << "generated output drifted from " << path
       << "; if intentional, regenerate with LIFTA_UPDATE_GOLDEN=1";
 }
 
 TEST(CodegenOptGolden, VolumeDouble) {
-  checkGolden("volume_double_opt",
+  checkGolden("volume_double_opt.c",
               generateKernel(lift_acoustics::liftVolumeKernel(
                                  ir::ScalarKind::Double),
                              optimized())
@@ -82,7 +85,7 @@ TEST(CodegenOptGolden, VolumeDouble) {
 }
 
 TEST(CodegenOptGolden, FusedFiDouble) {
-  checkGolden("fused_fi_double_opt",
+  checkGolden("fused_fi_double_opt.c",
               generateKernel(lift_acoustics::liftFusedFiKernel(
                                  ir::ScalarKind::Double),
                              optimized())
@@ -91,14 +94,14 @@ TEST(CodegenOptGolden, FusedFiDouble) {
 
 TEST(CodegenOptGolden, FiMmDouble) {
   checkGolden(
-      "fimm_double_opt",
+      "fimm_double_opt.c",
       generateKernel(lift_acoustics::liftFiMmKernel(ir::ScalarKind::Double),
                      optimized())
           .body);
 }
 
 TEST(CodegenOptGolden, FdMm3Double) {
-  checkGolden("fdmm3_double_opt",
+  checkGolden("fdmm3_double_opt.c",
               generateKernel(lift_acoustics::liftFdMmKernel(
                                  ir::ScalarKind::Double, 3),
                              optimized())
@@ -107,11 +110,159 @@ TEST(CodegenOptGolden, FdMm3Double) {
 
 TEST(CodegenOptGolden, GeophysEmHDouble) {
   checkGolden(
-      "em_h_double_opt",
+      "em_h_double_opt.c",
       generateKernel(geophys::liftEmHKernel(ir::ScalarKind::Double),
                      optimized())
           .body);
 }
+
+// One file per shipped kernel pins the output of every IR walk: the code
+// generator (paper form, optimized, and class-specialized for the acoustic
+// kernels), the access collector behind the bounds and race passes, and the
+// translation validator's store summaries.
+
+std::string dumpDomain(const analysis::Domain& d) {
+  return "[" + d.lo.toString() + ", " + d.hi.toString() + "]" +
+         (d.exact ? "" : " inexact");
+}
+
+std::string dumpAccesses(const analysis::KernelAccessInfo& info) {
+  std::ostringstream s;
+  for (const auto& a : info.accesses) {
+    s << a.context << " -> " << a.buffer << "[" << a.index.toString()
+      << "] of " << a.extent.toString() << (a.guarded ? " guarded" : "")
+      << (a.padGuarded ? " pad-guarded" : "")
+      << (a.isPrivate ? " private" : "") << "\n";
+  }
+  s << "work item " << info.wiVar.value_or("-") << " over "
+    << info.wiCount.toString() << ", " << info.glbMapCount << " MapGlb\n";
+  for (const auto& [v, d] : info.domains) {
+    s << "domain " << v << " " << dumpDomain(d) << "\n";
+  }
+  for (const auto& [v, e] : info.defs) {
+    s << "def " << v << " = " << e.toString() << "\n";
+  }
+  for (const auto& [v, o] : info.atoms) {
+    s << "atom " << v << " = " << o.buffer << "[" << o.position.toString()
+      << "]" << (o.positionUsesWorkItem ? " work-item" : "")
+      << (o.positionUsesLoopVars ? " loop-vars" : "") << "\n";
+  }
+  for (const auto& v : info.sizeVars) s << "size " << v << "\n";
+  for (const auto& n : info.notes) s << "note " << n << "\n";
+  return s.str();
+}
+
+std::string dumpVal(const analysis::SummaryValPtr& v) {
+  using Kind = analysis::SummaryVal::Kind;
+  if (!v) return "?";
+  std::string s;
+  switch (v->kind) {
+    case Kind::Lit:
+      return "'" + v->text + "'";
+    case Kind::Index:
+      return "#(" + v->index.toString() + ")";
+    case Kind::Load:
+      return v->buffer + "[" + v->index.toString() + "]" +
+             (v->speculated ? "!" : "");
+    case Kind::Guard:
+      s = "guard{";
+      for (const auto& g : v->guards) {
+        s += (g.droppedLower ? "_" : "0") + std::string("<=") +
+             g.adjusted.toString() + "<" + (g.droppedUpper ? "_" : "") +
+             g.size.toString() + ";";
+      }
+      s += "}";
+      break;
+    case Kind::Apply:
+      s = v->text;
+      break;
+  }
+  s += "(";
+  for (std::size_t i = 0; i < v->args.size(); ++i) {
+    s += (i ? ", " : "") + dumpVal(v->args[i]);
+  }
+  return s + ")";
+}
+
+std::string dumpSummary(const analysis::KernelSummary& k) {
+  std::ostringstream s;
+  for (const auto& st : k.stores) {
+    s << st.context << " -> " << st.buffer << "[" << st.address.toString()
+      << "] = " << dumpVal(st.value);
+    if (st.speculation) {
+      s << " speculated " << st.speculation->loopVar << " "
+        << dumpDomain(st.speculation->domain);
+    }
+    s << "\n";
+  }
+  for (const auto& [v, d] : k.domains) {
+    s << "domain " << v << " " << dumpDomain(d) << "\n";
+  }
+  for (const auto& v : k.sizeVars) s << "size " << v << "\n";
+  for (const auto& [v, e] : k.letIndex) {
+    s << "let " << v << " = " << e.toString() << "\n";
+  }
+  for (const auto& [b, e] : k.extents) {
+    s << "extent " << b << " = " << e.toString() << "\n";
+  }
+  return s.str();
+}
+
+std::vector<memory::KernelDef> walkSubjects() {
+  auto defs = lift_acoustics::shippedKernels();
+  for (auto def : {geophys::liftEmEzKernel(ir::ScalarKind::Double),
+                   geophys::liftEmHKernel(ir::ScalarKind::Double),
+                   geophys::liftEmHxKernel(ir::ScalarKind::Double),
+                   geophys::liftEmHyKernel(ir::ScalarKind::Double)}) {
+    defs.push_back(std::move(def));
+  }
+  return defs;
+}
+
+std::vector<std::string> walkSubjectNames() {
+  std::vector<std::string> names;
+  for (const auto& def : walkSubjects()) names.push_back(def.name);
+  return names;
+}
+
+class WalkGolden : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(WalkGolden, EveryWalkOfTheKernel) {
+  memory::KernelDef def;
+  for (auto& d : walkSubjects()) {
+    if (d.name == GetParam()) def = std::move(d);
+  }
+  ASSERT_EQ(def.name, GetParam());
+  const bool acoustic = def.name.rfind("lift_em_", 0) != 0;
+  std::ostringstream s;
+  s << "== paper form ==\n" << generateKernel(def, unoptimized()).source;
+  s << "== optimized ==\n" << generateKernel(def, optimized()).source;
+  memory::Specialization spec;
+  if (acoustic) {
+    const SimParams params;
+    spec = lift_acoustics::classSpecialization(def, 3, params.l(),
+                                               params.l2());
+    CodegenOptions o;
+    o.spec = spec;
+    s << "== specialized ==\n" << generateKernel(def, o).source;
+  }
+  s << "== accesses ==\n" << dumpAccesses(analysis::collectAccesses(def));
+  s << "== reference summary ==\n"
+    << dumpSummary(analysis::summarizeKernel(def, false));
+  s << "== optimized summary ==\n"
+    << dumpSummary(analysis::summarizeKernel(def, true));
+  if (acoustic) {
+    s << "== specialized summary ==\n"
+      << dumpSummary(analysis::summarizeKernel(def, true, spec));
+  }
+  checkGolden("walk_" + def.name + ".txt", s.str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShippedKernels, WalkGolden, ::testing::ValuesIn(walkSubjectNames()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 TEST(CodegenOptGolden, OptOutEnvDisablesTheOptimizer) {
   // LIFTA_CODEGEN_OPT=0 must reproduce the legacy source exactly.
@@ -236,7 +387,8 @@ std::vector<std::vector<double>> runOnce(
   ocl::Kernel k(ctx.buildProgram(gen.source), gen.name);
   ArgMap args = makeArgs(ctx, q);
   harness::bindKernelArgs(k, gen.plan, args);
-  q.enqueueNDRange(k, harness::launchConfigFor(gen, n, 64, ctx.pool()));
+  q.enqueueNDRange(k, harness::launchConfigFor(gen, n, 64,
+                                                     ThreadPool::global()));
   std::vector<std::vector<double>> result;
   for (const auto& [name, len] : outs) {
     result.push_back(

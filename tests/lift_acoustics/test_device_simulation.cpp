@@ -102,6 +102,31 @@ TEST(DeviceSimulation, SinglePrecisionTracksFloatReference) {
   }
 }
 
+template <typename T>
+void expectSampleBeforeFirstStepMatchesReference(ir::ScalarKind precision) {
+  const Room room{RoomShape::Box, 12, 10, 9};
+  typename Simulation<T>::Config refCfg;
+  refCfg.room = room;
+  refCfg.model = BoundaryModel::FiMm;
+  Simulation<T> ref(refCfg);
+  DeviceSimulation::Config devCfg;
+  devCfg.room = room;
+  devCfg.model = DeviceModel::FiMm;
+  devCfg.precision = precision;
+  DeviceSimulation dev(sharedContext(), devCfg);
+  // 0.1 is not a float, so the f32 run also checks the rounding.
+  ref.addImpulse(5, 5, 4, static_cast<T>(0.1));
+  dev.addImpulse(5, 5, 4, 0.1);
+  EXPECT_EQ(dev.sample(5, 5, 4), static_cast<double>(ref.sample(5, 5, 4)));
+  EXPECT_EQ(dev.sample(2, 3, 4), static_cast<double>(ref.sample(2, 3, 4)));
+  EXPECT_EQ(dev.stepsTaken(), 0);
+}
+
+TEST(DeviceSimulation, SampleBeforeTheFirstStepMatchesReference) {
+  expectSampleBeforeFirstStepMatchesReference<float>(ir::ScalarKind::Float);
+  expectSampleBeforeFirstStepMatchesReference<double>(ir::ScalarKind::Double);
+}
+
 TEST(DeviceSimulation, ReportsKernelTimeSplit) {
   DeviceSimulation::Config cfg;
   cfg.room = Room{RoomShape::Box, 12, 12, 12};
